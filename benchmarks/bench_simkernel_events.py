@@ -19,23 +19,13 @@ Standalone (not a pytest benchmark) so CI can gate on the result:
 ``--min-speedup`` times the heap path, or if any equivalence check
 fails.
 
-``--scheduler parallel`` switches the benchmark to the conservative
-parallel mesh scheduler instead: a large row-local workload is replayed
-once on the serial calendar simulator and once sharded over
-``--regions`` worker processes, the merged netlog is required to be
-bit-identical to the serial one, and ``--check`` gates the wall-clock
-speedup (CI uses ``--min-speedup 2.5`` on 4 cores).  Hosts with fewer
-cores than regions skip the gate (exit 0) rather than fail on hardware
-they cannot demonstrate parallelism on:
-
-    PYTHONPATH=src python benchmarks/bench_simkernel_events.py \
-        --scheduler parallel --regions 4 --check --min-speedup 2.5
+``--scheduler topology`` instead compares N-D routing throughput
+against the equal-node 2-D mesh (see :func:`run_topology_bench`).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -140,67 +130,6 @@ def run_mesh_log(scheduler, messages_per_source):
     return net.log
 
 
-def run_parallel_bench(args):
-    """Serial calendar vs conservative parallel on a row-local mesh
-    workload; returns an exit code (0 = pass/skip, 1 = fail)."""
-    from repro.simkernel.engine_parallel import (
-        ScheduleTraffic,
-        logs_bit_identical,
-        run_parallel_mesh,
-        run_serial_schedule,
-    )
-
-    cores = os.cpu_count() or 1
-    if cores < args.regions:
-        print(f"SKIP: parallel bench needs >= {args.regions} cores, host has "
-              f"{cores}; no parallelism to demonstrate")
-        return 0
-
-    config = MeshConfig.parse(args.parallel_mesh)
-    traffic = ScheduleTraffic.compile_pattern(
-        config,
-        pattern="local",
-        messages_per_source=args.parallel_messages,
-        seed=1234,
-    )
-    print(f"parallel workload: {config.width}x{config.height} mesh, "
-          f"{traffic.message_count} row-local messages, "
-          f"{args.regions} regions ...")
-    serial_best = parallel_best = float("inf")
-    serial_log = None
-    rounds = 0
-    for _ in range(args.iterations):
-        started = time.perf_counter()
-        serial = run_serial_schedule(config, traffic, scheduler="calendar")
-        serial_best = min(serial_best, time.perf_counter() - started)
-        serial_log = serial.log
-
-        started = time.perf_counter()
-        parallel = run_parallel_mesh(config, traffic, regions=args.regions)
-        parallel_best = min(parallel_best, time.perf_counter() - started)
-        rounds = parallel.rounds
-
-    merged = parallel.merged_log()
-    if not logs_bit_identical(serial_log, merged):
-        print(f"FAIL: parallel merged netlog differs from the serial "
-              f"calendar log ({len(merged)} vs {len(serial_log)} records)")
-        return 1
-    print(f"netlog identity: {len(merged)} records bit-identical between "
-          f"serial and {args.regions}-region parallel (canonical order)")
-
-    speedup = serial_best / parallel_best
-    print(f"{'scheduler':>10} {'time':>9}")
-    print(f"{'serial':>10} {serial_best:>8.3f}s")
-    print(f"{'parallel':>10} {parallel_best:>8.3f}s  "
-          f"({args.regions} regions, {rounds} round(s))")
-    print(f"parallel wall-clock speedup: {speedup:.2f}x "
-          f"(best of {args.iterations})")
-    if args.check and speedup < args.min_speedup:
-        print(f"FAIL: speedup {speedup:.2f}x below required {args.min_speedup}x")
-        return 1
-    return 0
-
-
 def run_topology_bench(args):
     """N-D topology routing overhead vs the 2-D mesh baseline.
 
@@ -268,19 +197,13 @@ def main(argv=None):
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless calendar beats heap by --min-speedup")
     parser.add_argument("--min-speedup", type=float, default=2.0)
-    parser.add_argument("--scheduler", choices=("kernel", "parallel", "topology"),
+    parser.add_argument("--scheduler", choices=("kernel", "topology"),
                         default="kernel",
                         help="kernel: calendar vs heap event throughput "
-                             "(the default); parallel: serial calendar vs "
-                             "the conservative multi-process mesh scheduler; "
-                             "topology: N-D routing overhead vs the 2-D mesh")
-    parser.add_argument("--regions", type=int, default=4,
-                        help="region workers for --scheduler parallel")
-    parser.add_argument("--parallel-mesh", default="16x16",
-                        help="mesh for --scheduler parallel (default 16x16)")
+                             "(the default); topology: N-D routing "
+                             "overhead vs the 2-D mesh")
     parser.add_argument("--parallel-messages", type=int, default=300,
-                        help="messages per source for --scheduler parallel "
-                             "and --scheduler topology")
+                        help="messages per source for --scheduler topology")
     parser.add_argument("--topology", action="append", default=[],
                         help="N-D topology spec(s) for --scheduler topology "
                              "(repeatable; default 4x4x4:mesh); node count "
@@ -293,8 +216,6 @@ def main(argv=None):
                              "--scheduler topology --check (default 0.9)")
     args = parser.parse_args(argv)
 
-    if args.scheduler == "parallel":
-        return run_parallel_bench(args)
     if args.scheduler == "topology":
         return run_topology_bench(args)
 

@@ -22,8 +22,8 @@ Usage (via ``python -m repro``):
     $ python -m repro doctor run-log.csv.gz
     $ python -m repro characterize 1d-fft --param n=256 --log-npz log.npz
     $ python -m repro doctor log.npz
-    $ python -m repro drive --mesh 16x16 --pattern local --messages 200 \
-          --scheduler parallel --regions 4 --sync barrier --log-spill /tmp/run
+    $ python -m repro drive --mesh 16x16 --pattern tornado --messages 200 \
+          --log-spill /tmp/run
 
 ``characterize`` runs the right strategy for the application (dynamic
 for shared memory, static for message passing), prints the
@@ -44,12 +44,10 @@ the legacy oracle; both produce bit-identical logs) and
 flags enter every cell's :class:`~repro.core.options.RunOptions` and
 therefore its cache key.
 
-``drive`` replays a pre-drawn pattern workload on the mesh:
-``--scheduler parallel`` shards it across conservative region worker
-processes (``--regions``, ``--sync {barrier,null}``) and writes one
-merged ``netlog-spill`` manifest every existing consumer (``doctor``,
-the characterize readers) understands; serial schedulers replay the
-identical schedule for equivalence comparisons.
+``drive`` replays a pre-drawn pattern workload on one serial simulator;
+both schedulers replay the identical schedule, and ``--log-spill``
+writes a ``netlog-spill`` manifest every existing consumer (``doctor``,
+the characterize readers) understands.
 
 ``sweep`` runs declarative experiment grids (app x mesh x protocol x
 rate-scale x seed) on a worker pool with per-cell timeouts, bounded
@@ -82,8 +80,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.apps import MESSAGE_PASSING_APPS, SHARED_MEMORY_APPS, create_app
 from repro.core import (
-    PARALLEL_SYNC_MODES,
-    RUN_SCHEDULERS,
     RunOptions,
     SyntheticTrafficGenerator,
     characterize_message_passing,
@@ -140,8 +136,6 @@ def _kernel_options_from_args(
     heartbeat = getattr(args, "heartbeat", None)
     log_spill = getattr(args, "log_spill", None)
     log_spill_window = getattr(args, "log_spill_window", None)
-    regions = getattr(args, "regions", None)
-    sync = getattr(args, "sync", None)
     if not (
         metrics
         or timeline
@@ -150,9 +144,9 @@ def _kernel_options_from_args(
         or sample_interval
         or heartbeat
         or log_spill
+        or log_spill_window
     ):
         return None
-    parallel = scheduler == "parallel"
     return RunOptions(
         metrics=metrics,
         timeline=timeline,
@@ -161,9 +155,7 @@ def _kernel_options_from_args(
         sample_interval=sample_interval,
         heartbeat=heartbeat,
         log_spill=log_spill,
-        log_spill_window=log_spill_window if log_spill else None,
-        parallel_regions=regions if parallel else None,
-        parallel_sync=sync if parallel else None,
+        log_spill_window=log_spill_window,
     )
 
 
@@ -677,17 +669,14 @@ def cmd_sp2_model(args: argparse.Namespace) -> int:
 
 
 def cmd_drive(args: argparse.Namespace) -> int:
-    """Replay a pre-drawn pattern workload, serial or parallel."""
+    """Replay a pre-drawn pattern workload on one serial simulator."""
     from repro.core.run import run_pattern
-    from repro.simkernel.engine_parallel import ParallelRunResult
 
     mesh = _parse_mesh(args.mesh)
     options = RunOptions(
         scheduler=args.scheduler,
         log_spill=args.log_spill,
-        log_spill_window=args.log_spill_window if args.log_spill else None,
-        parallel_regions=args.regions if args.scheduler == "parallel" else None,
-        parallel_sync=args.sync if args.scheduler == "parallel" else None,
+        log_spill_window=args.log_spill_window,
     )
     result = run_pattern(
         mesh_config=mesh,
@@ -700,18 +689,10 @@ def cmd_drive(args: argparse.Namespace) -> int:
     )
     print(f"mesh {mesh.spec.canonical()}, pattern {args.pattern}, "
           f"scheduler {args.scheduler or 'calendar'}")
-    if isinstance(result, ParallelRunResult):
-        print(f"  regions {result.regions} (active {len(result.active_regions)}), "
-              f"sync {result.sync}, lookahead {result.lookahead:g}, "
-              f"rounds {result.rounds}")
-        print(f"  messages {result.records}, clock {result.clock:.3f}, "
-              f"events {result.events_fired}")
+    print(f"  messages {len(result.log)}, clock {result.clock:.3f}, "
+          f"events {result.events_fired}")
+    if result.manifest_path:
         print(f"  manifest {result.manifest_path}")
-    else:
-        print(f"  messages {len(result.log)}, clock {result.clock:.3f}, "
-              f"events {result.events_fired}")
-        if result.manifest_path:
-            print(f"  manifest {result.manifest_path}")
     return 0
 
 
@@ -831,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     drive = sub.add_parser(
         "drive",
-        help="replay a pre-drawn pattern workload (serial or parallel mesh)",
+        help="replay a pre-drawn pattern workload on the mesh",
     )
     drive.add_argument(
         "--mesh", default="8x8",
@@ -855,25 +836,15 @@ def build_parser() -> argparse.ArgumentParser:
     drive.add_argument("--length", type=int, default=64, metavar="BYTES",
                        help="payload bytes per message (default 64)")
     drive.add_argument(
-        "--scheduler", choices=RUN_SCHEDULERS, default=None,
-        help="calendar/heap run one serial simulator; parallel shards "
-             "the mesh into conservative region worker processes",
-    )
-    drive.add_argument(
-        "--regions", type=int, default=None, metavar="R",
-        help="region worker processes for --scheduler parallel (default 2)",
-    )
-    drive.add_argument(
-        "--sync", choices=PARALLEL_SYNC_MODES, default=None,
-        help="conservative advancement mode for --scheduler parallel: "
-             "barrier (global horizon) or null (per-region null-message "
-             "horizons; default barrier)",
+        "--scheduler", choices=SCHEDULERS, default=None,
+        help="event-list implementation: calendar (fast path) or heap "
+             "(legacy oracle); default follows $REPRO_SCHEDULER, "
+             "then calendar",
     )
     drive.add_argument(
         "--log-spill", default=None, metavar="DIR",
         help="spill the activity log under DIR and write a netlog-spill "
-             "manifest (the parallel scheduler always spills; without "
-             "this it uses a temporary directory)",
+             "manifest (default: keep the log in memory)",
     )
     drive.add_argument(
         "--log-spill-window", type=int, default=None, metavar="N",

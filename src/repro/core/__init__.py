@@ -33,8 +33,6 @@ from repro.core.loadsweep import (
     sweep_load,
 )
 from repro.core.options import (
-    PARALLEL_SYNC_MODES,
-    RUN_SCHEDULERS,
     RunOptions,
     resolve_run_options,
 )
@@ -62,10 +60,8 @@ __all__ = [
     "LoadMeasurement",
     "LoadPoint",
     "LoadSweep",
-    "PARALLEL_SYNC_MODES",
     "PhaseCoupledTrafficGenerator",
     "PhaseSegment",
-    "RUN_SCHEDULERS",
     "RunOptions",
     "SpatialCharacterization",
     "SyntheticTrafficGenerator",

@@ -25,16 +25,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TimelineRecorder
 from repro.simkernel import SCHEDULERS, Simulator
 
-#: The conservative parallel scheduler accepted on top of the serial
-#: kernel schedulers (:data:`repro.simkernel.SCHEDULERS`).  Kept as a
-#: literal here so validating an options bundle does not import the
-#: mesh stack; :mod:`repro.simkernel.engine_parallel` asserts the names
-#: agree.
-PARALLEL_SCHEDULER = "parallel"
-RUN_SCHEDULERS = SCHEDULERS + (PARALLEL_SCHEDULER,)
-PARALLEL_SYNC_MODES = ("barrier", "null")
-
-
 @dataclass(frozen=True)
 class RunOptions:
     """Immutable knob bundle for one simulated run.
@@ -62,19 +52,6 @@ class RunOptions:
         Event-list implementation, ``"calendar"`` (fast path) or
         ``"heap"`` (legacy oracle); None defers to the
         ``REPRO_SCHEDULER`` environment variable, then ``"calendar"``.
-        ``"parallel"`` selects the conservative multi-process mesh
-        scheduler (:mod:`repro.simkernel.engine_parallel`); pattern
-        runners dispatch on it, while :meth:`make_simulator` maps it to
-        the calendar kernel each region worker runs on.
-    parallel_regions:
-        Number of spatial regions (worker processes) for the
-        ``parallel`` scheduler; None defers to the runner's default.
-        Omitted from :meth:`as_dict` when unset, like every late-added
-        field, so pre-existing sweep cache keys stay stable.
-    parallel_sync:
-        Conservative advancement mode for the ``parallel`` scheduler,
-        ``"barrier"`` (global horizon) or ``"null"`` (per-region
-        null-message horizons); None defers to the runner's default.
     sample_interval:
         Live-telemetry sampling interval in simulated time units: the
         run carries a :class:`~repro.obs.live.LiveSampler` producing
@@ -96,8 +73,8 @@ class RunOptions:
         cache keys stay stable.
     log_spill_window:
         In-memory window size (records) before a spill; None defers to
-        :data:`~repro.mesh.netlog_stream.DEFAULT_WINDOW`.  Only
-        meaningful with ``log_spill``.
+        :data:`~repro.mesh.netlog_stream.DEFAULT_WINDOW`.  Requires
+        ``log_spill``.
 
     Booleans rather than live registry/recorder objects keep the value
     hashable and JSON-round-trippable, which sweep cell specs need for
@@ -115,26 +92,12 @@ class RunOptions:
     heartbeat: Optional[str] = None
     log_spill: Optional[str] = None
     log_spill_window: Optional[int] = None
-    parallel_regions: Optional[int] = None
-    parallel_sync: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.scheduler is not None and self.scheduler not in RUN_SCHEDULERS:
+        if self.scheduler is not None and self.scheduler not in SCHEDULERS:
             raise ValueError(
-                f"scheduler must be one of {', '.join(RUN_SCHEDULERS)} or None, "
+                f"scheduler must be one of {', '.join(SCHEDULERS)} or None, "
                 f"got {self.scheduler!r}"
-            )
-        if self.parallel_regions is not None and self.parallel_regions < 1:
-            raise ValueError(
-                f"parallel_regions must be >= 1 or None, got {self.parallel_regions}"
-            )
-        if (
-            self.parallel_sync is not None
-            and self.parallel_sync not in PARALLEL_SYNC_MODES
-        ):
-            raise ValueError(
-                f"parallel_sync must be one of {', '.join(PARALLEL_SYNC_MODES)} "
-                f"or None, got {self.parallel_sync!r}"
             )
         if self.max_no_progress_events is not None and self.max_no_progress_events < 1:
             raise ValueError(
@@ -148,6 +111,11 @@ class RunOptions:
         if self.log_spill_window is not None and self.log_spill_window < 1:
             raise ValueError(
                 f"log_spill_window must be >= 1 or None, got {self.log_spill_window}"
+            )
+        if self.log_spill_window is not None and self.log_spill is None:
+            raise ValueError(
+                f"log_spill_window={self.log_spill_window} needs log_spill "
+                f"(the spill directory); set both or neither"
             )
 
     @property
@@ -168,14 +136,8 @@ class RunOptions:
 
     @property
     def kernel_scheduler(self) -> Optional[str]:
-        """The serial event-list implementation this bundle resolves to.
-
-        The ``parallel`` scheduler is a dispatch layer, not an event
-        list: each region worker (and any pipeline that cannot shard
-        its workload) runs on the calendar kernel.
-        """
-        if self.scheduler == PARALLEL_SCHEDULER:
-            return "calendar"
+        """The event-list implementation this bundle selects (None
+        defers to the kernel's default)."""
         return self.scheduler
 
     def make_simulator(self, obs: Optional[MetricsRegistry] = None) -> Simulator:
@@ -235,8 +197,6 @@ class RunOptions:
         "heartbeat",
         "log_spill",
         "log_spill_window",
-        "parallel_regions",
-        "parallel_sync",
     )
 
     def as_dict(self) -> Dict[str, object]:

@@ -138,24 +138,15 @@ def run_pattern(
     options: Optional[RunOptions] = None,
     stem: str = "netlog",
 ):
-    """Replay a pre-drawn pattern workload under the bundle's scheduler.
+    """Replay a pre-drawn pattern workload on one serial simulator.
 
-    The one entry point that dispatches on ``options.scheduler ==
-    "parallel"``: the same compiled schedule
-    (:class:`~repro.simkernel.engine_parallel.ScheduleTraffic`) runs
-    either on one serial simulator or sharded across conservative
-    region workers (``parallel_regions``/``parallel_sync``), so the two
-    paths are directly comparable.  Returns a
-    :class:`~repro.simkernel.engine_parallel.SerialRunResult` or
-    :class:`~repro.simkernel.engine_parallel.ParallelRunResult`; with
-    ``log_spill`` set, both write a ``netlog-spill`` manifest there.
+    The schedule is compiled once up front
+    (:class:`~repro.simkernel.engine_parallel.ScheduleTraffic`) and
+    replayed on the bundle's kernel scheduler.  Returns a
+    :class:`~repro.simkernel.engine_parallel.SerialRunResult`; with
+    ``log_spill`` set, the run writes a ``netlog-spill`` manifest there.
     """
-    from repro.core.options import PARALLEL_SCHEDULER
-    from repro.simkernel.engine_parallel import (
-        ScheduleTraffic,
-        run_parallel_mesh,
-        run_serial_schedule,
-    )
+    from repro.simkernel.engine_parallel import ScheduleTraffic, run_serial_schedule
 
     config = mesh_config if mesh_config is not None else MeshConfig()
     options = options if options is not None else RunOptions()
@@ -167,22 +158,6 @@ def run_pattern(
         mean_gap=mean_gap,
         length_bytes=length_bytes,
     )
-    if options.scheduler == PARALLEL_SCHEDULER:
-        from repro.mesh.netlog_stream import DEFAULT_WINDOW
-
-        return run_parallel_mesh(
-            config,
-            traffic,
-            regions=options.parallel_regions or 2,
-            sync=options.parallel_sync or "barrier",
-            directory=options.log_spill,
-            stem=stem,
-            window=(
-                options.log_spill_window
-                if options.log_spill_window is not None
-                else DEFAULT_WINDOW
-            ),
-        )
     return run_serial_schedule(
         config,
         traffic,

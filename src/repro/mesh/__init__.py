@@ -44,13 +44,6 @@ from repro.mesh.netlog_stream import (
 )
 from repro.mesh.network import MeshNetwork
 from repro.mesh.packet import NetworkMessage
-from repro.mesh.partition import (
-    PARTITIONERS,
-    MeshPartition,
-    make_partition,
-    register_partitioner,
-    slice_partition,
-)
 from repro.mesh.patterns import (
     PATTERNS,
     BitComplementTraffic,
@@ -104,10 +97,8 @@ __all__ = [
     "NeighborTraffic",
     "NetLogFormatError",
     "NetLogRecord",
-    "MeshPartition",
     "NetworkLog",
     "NetworkMessage",
-    "PARTITIONERS",
     "PATTERNS",
     "ShuffleTraffic",
     "StreamingNetworkLog",
@@ -124,18 +115,15 @@ __all__ = [
     "build_topology",
     "drive_pattern",
     "iter_segments",
-    "make_partition",
     "make_pattern",
     "make_topology",
     "materialize_manifest",
     "pattern_for_config",
     "read_manifest",
-    "register_partitioner",
     "register_pattern",
     "register_topology",
     "registered_patterns",
     "registered_topologies",
-    "slice_partition",
     "summarize_csv",
     "summarize_npz",
     "summary_from_manifest",

@@ -22,7 +22,7 @@ This module adds the streaming mode that takes characterization to
   spills; the log-level summary is the fold of the per-segment partials
   *in segment order*.
 
-Determinism contract (the one per-region merges will inherit):
+Determinism contract:
 
 * Everything integer -- message/byte totals, traffic matrices, length,
   kind and histogram tallies -- is **exact**: independent of window

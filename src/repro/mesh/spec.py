@@ -326,7 +326,7 @@ def register_topology(kind: str, builder: Callable[[TopologySpec], object]) -> N
     """Register (or replace) the builder for a topology ``kind``.
 
     The plugin seam mirroring
-    :func:`repro.mesh.partition.register_partitioner`: builders take the
+    :func:`repro.mesh.patterns.register_pattern`: builders take the
     full :class:`TopologySpec` so they can honor dims, wrap flags,
     link scales and hierarchy blocks as they see fit.
     """

@@ -28,8 +28,8 @@ incompatible layout change so old watchers can refuse loudly instead of
 mis-rendering.
 
 Records are mergeable by design: every record is self-describing
-(label + seq + wall), so a future multi-instance run (ROADMAP #1's
-per-region simulators) can write one stream per instance and a reader
+(label + seq + wall), so a multi-instance run can write one stream
+per instance and a reader
 can interleave them by ``wall`` without coordination.
 """
 

@@ -30,7 +30,7 @@ Design constraints, in order:
   event.
 
 One sampler serves one simulator/registry pair; multi-instance runs
-(ROADMAP #1) create one sampler per region and merge the resulting
+create one sampler per instance and merge the resulting
 series/heartbeat streams downstream -- every window row is
 self-describing (``t_start``/``t_end``/``wall``), so merging is a sort.
 """

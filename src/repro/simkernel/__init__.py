@@ -66,21 +66,16 @@ from repro.simkernel.facility import Facility, Release, Request, request, releas
 from repro.simkernel.mailbox import Mailbox, Receive, Send, receive, send
 from repro.simkernel.random_streams import RandomStreams
 
-#: Conservative parallel-scheduler symbols served lazily (PEP 562):
+#: Schedule-replay symbols served lazily (PEP 562):
 #: :mod:`repro.simkernel.engine_parallel` imports :mod:`repro.mesh`,
 #: which imports this package, so an eager import here would be
 #: circular -- and the serial kernel should not pay the mesh stack's
 #: import cost anyway.
 _PARALLEL_EXPORTS = (
-    "PARALLEL_SCHEDULER",
-    "SYNC_MODES",
-    "ParallelRunResult",
-    "ParallelSimulationError",
     "ScheduleTraffic",
     "SerialRunResult",
     "canonical_order",
     "logs_bit_identical",
-    "run_parallel_mesh",
     "run_serial_schedule",
 )
 
@@ -102,9 +97,6 @@ __all__ = [
     "Hold",
     "InvalidDelayError",
     "Mailbox",
-    "PARALLEL_SCHEDULER",
-    "ParallelRunResult",
-    "ParallelSimulationError",
     "Passivate",
     "Process",
     "ProcessState",
@@ -114,7 +106,6 @@ __all__ = [
     "Request",
     "SCHEDULERS",
     "SCHEDULER_ENV",
-    "SYNC_MODES",
     "ScheduleTraffic",
     "Send",
     "SerialRunResult",
@@ -135,7 +126,6 @@ __all__ = [
     "receive",
     "release",
     "request",
-    "run_parallel_mesh",
     "run_serial_schedule",
     "send",
     "steady_clock",

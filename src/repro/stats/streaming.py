@@ -2,9 +2,8 @@
 
 Out-of-core characterization (:mod:`repro.mesh.netlog_stream`) never
 sees the whole record stream at once: it observes bounded chunks and
-must later combine per-chunk partial results -- per-segment today,
-per-region when the mesh is sharded across cores.  Every estimator here
-therefore satisfies the same contract:
+must later combine per-chunk partial results, one per spilled segment.
+Every estimator here therefore satisfies the same contract:
 
 * **one-pass** -- ``observe``/``observe_sorted`` consume a chunk in a
   single vectorized sweep and retain O(1) or O(K) state, never the
@@ -219,7 +218,7 @@ class P2Quantile:
     heights via piecewise-parabolic interpolation -- which is also why
     it cannot ``merge``: two marker sets cannot be combined with proper
     weighting.  Use :class:`QuantileDigest` for anything that must
-    cross a segment or region boundary; this class serves single-stream
+    cross a segment boundary; this class serves single-stream
     consumers that want one cheap percentile without keeping the data.
     """
 

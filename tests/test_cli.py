@@ -168,3 +168,44 @@ class TestObservabilityCommands:
             json.dump({"not": "metrics"}, handle)
         assert main(["metrics", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestDrive:
+    def test_run_pattern_spills_a_serial_manifest(self, tmp_path):
+        from repro.core import RunOptions, run_pattern
+        from repro.mesh import MeshConfig
+        from repro.mesh.netlog_stream import materialize_manifest, read_manifest
+        from repro.simkernel.engine_parallel import SerialRunResult, logs_bit_identical
+
+        config = MeshConfig.parse("4x2")
+        in_memory = run_pattern(
+            config, pattern="local", messages_per_source=6,
+            options=RunOptions(scheduler="calendar"),
+        )
+        spilled = run_pattern(
+            config, pattern="local", messages_per_source=6,
+            options=RunOptions(scheduler="calendar", log_spill=str(tmp_path)),
+        )
+        assert isinstance(spilled, SerialRunResult)
+        assert in_memory.manifest_path is None
+        assert read_manifest(spilled.manifest_path)["records"] == len(in_memory.log)
+        assert logs_bit_identical(
+            in_memory.log, materialize_manifest(spilled.manifest_path)
+        )
+
+    def test_drive_spill_then_doctor(self, tmp_path, capsys):
+        spill = str(tmp_path / "mesh")
+        rc = main(
+            [
+                "drive", "--mesh", "4x4", "--pattern", "local",
+                "--messages", "6", "--scheduler", "calendar",
+                "--log-spill", spill,
+            ]
+        )
+        assert rc == 0
+        assert "scheduler calendar" in capsys.readouterr().out
+        assert main(["doctor", f"{spill}/netlog.manifest.json"]) == 0
+
+    def test_spill_window_without_spill_is_rejected(self, capsys):
+        assert main(["drive", "--messages", "1", "--log-spill-window", "8"]) == 2
+        assert "needs log_spill" in capsys.readouterr().err

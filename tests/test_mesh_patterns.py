@@ -255,3 +255,52 @@ class TestHotspotSelfSend:
         for src in range(4):
             for _ in range(200):
                 assert pattern.destination(src, rng) != src
+
+
+class TestScheduleTraffic:
+    """Pre-drawn schedule traffic replayed by ``run_pattern``/``drive``."""
+
+    @staticmethod
+    def compile(pattern, seed=7, messages=10):
+        from repro.simkernel.engine_parallel import ScheduleTraffic
+
+        return ScheduleTraffic.compile_pattern(
+            MeshConfig.parse("4x4"), pattern=pattern,
+            messages_per_source=messages, seed=seed,
+        )
+
+    def test_local_pattern_stays_in_the_source_row(self):
+        traffic = self.compile("local")
+        for src, entries in traffic.per_source.items():
+            for _, dst, _, _ in entries:
+                assert dst // 4 == src // 4 and dst != src
+
+    def test_compile_is_deterministic_per_seed(self):
+        a = self.compile("uniform", seed=5, messages=8)
+        b = self.compile("uniform", seed=5, messages=8)
+        assert a.per_source == b.per_source
+        assert a.per_source != self.compile("uniform", seed=6, messages=8).per_source
+
+    def test_rejections(self):
+        from repro.simkernel.engine_parallel import ScheduleTraffic
+
+        config = MeshConfig.parse("4x4")
+        with pytest.raises(ValueError, match="unknown pattern"):
+            ScheduleTraffic.compile_pattern(config, pattern="zipf")
+        with pytest.raises(ValueError, match="mean_gap"):
+            ScheduleTraffic.compile_pattern(config, mean_gap=0.0)
+        with pytest.raises(ValueError, match="msg_id blocks"):
+            ScheduleTraffic.compile_pattern(config, messages_per_source=1_000_000)
+        with pytest.raises(ValueError, match="duplicate msg_id"):
+            ScheduleTraffic(4, {0: [(1.0, 1, 64, 9), (1.0, 2, 64, 9)]})
+        with pytest.raises(ValueError, match="destination 9"):
+            ScheduleTraffic(4, {0: [(1.0, 9, 64, 0)]})
+        with pytest.raises(ValueError, match="negative gap"):
+            ScheduleTraffic(4, {0: [(-1.0, 1, 64, 0)]})
+
+    def test_traffic_mesh_size_mismatch(self):
+        from repro.simkernel.engine_parallel import run_serial_schedule
+
+        traffic = self.compile("local")
+        with pytest.raises(ValueError, match="traffic drawn for 16 nodes"):
+            run_serial_schedule(MeshConfig.parse("4x2"), traffic)

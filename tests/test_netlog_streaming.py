@@ -260,6 +260,53 @@ class TestDeterminism:
             StreamingSummary.from_dict({"messages": 3})
 
 
+fold_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=7),      # src
+        st.integers(min_value=0, max_value=7),      # dst
+        st.sampled_from([16, 64, 256]),             # length_bytes
+        st.floats(min_value=0.5, max_value=50.0,    # latency
+                  allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=fold_rows, shards=st.integers(min_value=1, max_value=4))
+def test_partial_summaries_fold_to_the_single_stream_summary(rows, shards):
+    """The merge contract: partial summaries over disjoint shards of
+    the records, folded in shard order, equal one summary over the
+    whole stream -- integer tallies exactly, float moments to
+    accumulation round-off."""
+    whole_log = NetworkLog()
+    parts = [NetworkLog() for _ in range(shards)]
+    for i, (src, dst, length, latency) in enumerate(rows):
+        inject = float(i)
+        record = (i, src, dst, length, "p2p", inject, inject + 0.5,
+                  inject + 0.5 + latency, 0.25, abs(src - dst) + 1)
+        whole_log.append(*record)
+        parts[src % shards].append(*record)
+    whole = StreamingSummary.from_log(whole_log)
+    folded = StreamingSummary.merged(
+        [StreamingSummary.from_log(part) for part in parts]
+    )
+
+    assert folded.messages == whole.messages
+    assert folded.total_bytes == whole.total_bytes
+    assert folded.length_counts == whole.length_counts
+    assert folded.kind_counts == whole.kind_counts
+    assert np.array_equal(folded.count_matrix, whole.count_matrix)
+    assert np.array_equal(folded.volume_matrix, whole.volume_matrix)
+    assert folded.first_inject == whole.first_inject
+    assert folded.last_deliver == whole.last_deliver
+    assert folded.latency.count == whole.latency.count
+    assert folded.latency.min_value == whole.latency.min_value
+    assert folded.latency.max_value == whole.latency.max_value
+    assert folded.latency.mean == pytest.approx(whole.latency.mean, rel=1e-9)
+
+
 class TestEdgeCases:
     def test_empty_log_spill_and_merge(self, tmp_path):
         streaming = StreamingNetworkLog(str(tmp_path), window=4)
@@ -413,6 +460,8 @@ class TestRunOptionsSpill:
     def test_window_validated(self, tmp_path):
         with pytest.raises(ValueError, match="log_spill_window"):
             RunOptions(log_spill=str(tmp_path), log_spill_window=0)
+        with pytest.raises(ValueError, match="log_spill_window=5 needs log_spill"):
+            RunOptions(log_spill_window=5)
 
     def test_cache_keys_stable_without_spill(self):
         # The new optional fields must not leak into default as_dict()

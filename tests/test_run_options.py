@@ -40,6 +40,8 @@ def test_defaults_and_validation():
     assert options.scheduler is None
     with pytest.raises(ValueError, match="scheduler"):
         RunOptions(scheduler="fifo")
+    with pytest.raises(ValueError, match="calendar, heap"):
+        RunOptions(scheduler="parallel")
     with pytest.raises(ValueError, match="max_no_progress_events"):
         RunOptions(max_no_progress_events=0)
     with pytest.raises(ValueError, match="scheduler"):
@@ -51,6 +53,11 @@ def test_round_trip_and_unknown_fields():
     assert RunOptions.from_dict(options.as_dict()) == options
     with pytest.raises(ValueError, match="unknown RunOptions field"):
         RunOptions.from_dict({"metrics": True, "turbo": 11})
+    # Persisted docs from before the parallel scheduler was removed.
+    for suffix, value in (("regions", 2), ("sync", "barrier")):
+        field = f"parallel_{suffix}"
+        with pytest.raises(ValueError, match=field):
+            RunOptions.from_dict({"scheduler": "calendar", field: value})
 
 
 def test_factories(monkeypatch):
@@ -218,6 +225,9 @@ def test_cli_instrumentation_flags_shared_across_subcommands():
         assert args.max_no_progress == 9
     with pytest.raises(SystemExit):
         parser.parse_args(["characterize", "1d-fft", "--scheduler", "fifo"])
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["drive", "--scheduler", "parallel"])
+    assert excinfo.value.code != 0
 
 
 def test_cli_flags_reach_the_grid_cells():

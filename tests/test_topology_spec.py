@@ -4,10 +4,9 @@ The topology redesign (spec-first configuration, N-D meshes/tori,
 chiplet hierarchies) must not perturb the paper's 2-D results: the
 hypothesis suites here check that spec-built 2-D networks route and
 log *bit-identically* to the legacy construction paths, and that the
-new N-D routes keep the invariants the conservative parallel scheduler
-and the deadlock argument rely on (minimal hops, dimension-order
-monotonicity, dateline virtual-channel discipline, up*/down* ordering
-on the hierarchy).
+new N-D routes keep the invariants the deadlock argument relies on
+(minimal hops, dimension-order monotonicity, dateline virtual-channel
+discipline, up*/down* ordering on the hierarchy).
 """
 
 import math
@@ -20,14 +19,12 @@ from hypothesis import given, settings, strategies as st
 from repro.mesh import (
     ChipletTopology,
     MeshConfig,
-    MeshPartition,
     MeshTopology,
     NDMeshTopology,
     TopologySpec,
     TopologySpecError,
     TorusTopology,
     build_topology,
-    make_partition,
     make_topology,
     register_topology,
     registered_topologies,
@@ -36,7 +33,6 @@ from repro.mesh.spec import TOPOLOGIES
 from repro.simkernel.engine_parallel import (
     ScheduleTraffic,
     logs_bit_identical,
-    run_parallel_mesh,
     run_serial_schedule,
 )
 
@@ -450,75 +446,3 @@ class TestChipletRouting:
         topo = ChipletTopology((4, 4), hubs=2)
         for hop in topo.route(17, 30):
             assert topo.chiplet_of(hop.src) == topo.chiplet_of(hop.dst) == 1
-
-
-# ---------------------------------------------------------------------------
-# N-D partitioning and parallel equivalence
-# ---------------------------------------------------------------------------
-
-class TestNDPartition:
-    def test_slices_highest_dimension(self):
-        cfg = MeshConfig(spec="4x3x4:mesh")
-        part = make_partition(cfg, regions=2)
-        assert part.depth == 4
-        assert part.plane == 12
-        assert part.bounds == ((0, 2), (2, 4))
-        sub = part.region_config(0)
-        assert sub.spec.dims == (4, 3, 2)
-
-    def test_lookahead_uses_sliced_axis_scale(self):
-        cfg = MeshConfig(spec="4x4x2:mesh:z=4.0")
-        part = make_partition(cfg, regions=2)
-        assert part.lookahead() == cfg.routing_time + cfg.channel_time * 4.0
-
-    def test_rejects_wrap_and_hierarchy(self):
-        with pytest.raises(ValueError, match="mesh"):
-            make_partition(MeshConfig(spec="4x4x2:torus", virtual_channels=2), 2)
-        with pytest.raises(ValueError, match="mesh"):
-            make_partition(MeshConfig.parse("chiplet(4x4,hubs=2)"), 2)
-
-    def test_route_legs_cross_region_3d(self):
-        cfg = MeshConfig(spec="2x2x4:mesh")
-        part = make_partition(cfg, regions=2)
-        legs = part.route_legs(0, 15)
-        assert [leg[0] for leg in legs] == [0, 1]
-        # Hand-off happens at the destination's in-plane offset.
-        assert legs[0][2] % part.plane == 15 % part.plane
-
-    def test_parallel_matches_serial_3d_layer_local(self):
-        """Boundary-free (layer-local) traffic on a 3-D mesh is
-        bit-identical between the serial and parallel schedulers --
-        the same guarantee the 2-D suite pins for row-local traffic."""
-        cfg = MeshConfig(spec="3x2x4:mesh")
-        traffic = ScheduleTraffic.compile_pattern(
-            cfg, pattern="local", messages_per_source=12, seed=11
-        )
-        serial = run_serial_schedule(cfg, traffic)
-        parallel = run_parallel_mesh(cfg, traffic, regions=2)
-        assert parallel.rounds == 1
-        assert logs_bit_identical(serial.log, parallel.merged_log())
-
-    def test_parallel_conserves_cross_region_3d(self):
-        """Cross-region traffic is re-serialized per leg (latencies
-        legitimately differ), but endpoints, payloads and route lengths
-        are exactly conserved on the 3-D mesh too."""
-        cfg = MeshConfig(spec="3x2x4:mesh")
-        traffic = ScheduleTraffic.compile_pattern(
-            cfg, pattern="uniform", messages_per_source=12, seed=11
-        )
-        serial = run_serial_schedule(cfg, traffic)
-        merged = run_parallel_mesh(cfg, traffic, regions=2).merged_log()
-        assert len(merged) == len(serial.log) == traffic.message_count
-        key = lambda r: (r.src, r.dst, r.length_bytes, r.hops)
-        assert {r.msg_id: key(r) for r in serial.log.records} == {
-            r.msg_id: key(r) for r in merged.records
-        }
-
-    def test_parallel_matches_serial_scaled_links(self):
-        cfg = MeshConfig(spec="2x2x4:mesh:z=2.0")
-        traffic = ScheduleTraffic.compile_pattern(
-            cfg, pattern="local", messages_per_source=10, seed=5
-        )
-        serial = run_serial_schedule(cfg, traffic)
-        parallel = run_parallel_mesh(cfg, traffic, regions=2)
-        assert logs_bit_identical(serial.log, parallel.merged_log())
