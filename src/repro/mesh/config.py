@@ -12,6 +12,7 @@ existing consumers keep working unchanged.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -168,8 +169,9 @@ class MeshConfig:
         if self.header_flits < 0:
             raise ValueError(f"header_flits must be >= 0, got {self.header_flits}")
         for field_name in ("channel_time", "routing_time", "injection_time", "ejection_time"):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be >= 0")
+            value = getattr(self, field_name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{field_name} must be finite and >= 0, got {value!r}")
 
     @classmethod
     def from_spec(

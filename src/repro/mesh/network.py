@@ -18,9 +18,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetLogRecord, NetworkLog
 from repro.mesh.packet import NetworkMessage
+from repro.mesh.topology import Hop
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import CHANNELS_PID, NULL_TIMELINE, TimelineRecorder
-from repro.simkernel import Facility, Mailbox, SimEvent, Simulator, hold, release, request
+from repro.simkernel import Facility, Hold, Mailbox, SimEvent, Simulator, hold
 
 DeliveryHandler = Callable[[NetworkMessage, NetLogRecord], None]
 
@@ -85,6 +86,16 @@ class MeshNetwork:
         self._ejection = [
             Facility(simulator, name=f"ej[{n}]") for n in range(config.num_nodes)
         ]
+        # Hold commands are frozen, so the fixed delays are built once:
+        # NI overheads here, one per hop time (keyed by the hop's link
+        # scale) the first time a route needs it.
+        self._injection_hold = hold(config.injection_time)
+        self._ejection_hold = hold(config.ejection_time)
+        self._hop_holds: Dict[float, Hold] = {}
+        # Adaptive routing: (src, dst) -> (XY on lane 0, YX on lane 1).
+        self._adaptive_routes: Dict[
+            Tuple[int, int], Tuple[Tuple[Hop, ...], Tuple[Hop, ...]]
+        ] = {}
         self._handlers: Dict[int, List[DeliveryHandler]] = {}
         self._mailboxes: Dict[int, Mailbox] = {}
         self._in_flight = 0
@@ -201,22 +212,24 @@ class MeshNetwork:
             # Source NI: serializes messages leaving the same node.
             inj = self._injection[message.src]
             t0 = self.simulator.now
-            yield request(inj)
+            yield inj._request_command
             contention += self.simulator.now - t0
             acquired.append(inj)
             start_time = self.simulator.now
-            yield hold(cfg.injection_time)
+            yield self._injection_hold
 
             # Head flit walks the selected route, seizing each channel
             # lane in order.  Hops that pin a virtual-channel class (the
             # torus dateline, adaptive dimension orders) get it; free hops
             # spread over lanes.
             free_lane = message.msg_id % cfg.virtual_channels
+            channels = self._channels
+            hop_holds = self._hop_holds
             for hop in path:
                 lane = hop.vclass if hop.vclass is not None else free_lane
-                channel = self._channels[(hop.src, hop.dst, lane)]
+                channel = channels[(hop.src, hop.dst, lane)]
                 t0 = self.simulator.now
-                yield request(channel)
+                yield channel._request_command
                 hop_wait = self.simulator.now - t0
                 contention += hop_wait
                 if observed:
@@ -227,15 +240,20 @@ class MeshNetwork:
                 # hop.scale carries the spec's per-dimension link-scale
                 # (TSV-style slow links); 1.0 leaves the float math
                 # bit-identical to the unscaled formula.
-                yield hold(cfg.routing_time + cfg.channel_time * hop.scale)
+                hop_hold = hop_holds.get(hop.scale)
+                if hop_hold is None:
+                    hop_hold = hop_holds[hop.scale] = hold(
+                        cfg.routing_time + cfg.channel_time * hop.scale
+                    )
+                yield hop_hold
 
             # Destination NI.
             ej = self._ejection[message.dst]
             t0 = self.simulator.now
-            yield request(ej)
+            yield ej._request_command
             contention += self.simulator.now - t0
             acquired.append(ej)
-            yield hold(cfg.ejection_time)
+            yield self._ejection_hold
 
             # Body flits stream over the held path (pipelined circuit).
             flits = cfg.flits_for(message.length_bytes)
@@ -243,7 +261,7 @@ class MeshNetwork:
                 yield hold((flits - 1) * cfg.channel_time)
 
             for facility in acquired:
-                yield release(facility)
+                yield facility._release_command
                 released += 1
 
             record = NetLogRecord(
@@ -382,22 +400,29 @@ class MeshNetwork:
         Deterministic mode delegates to the topology.  Adaptive mode
         (mesh) compares the XY and YX dimension orders and takes YX --
         on its dedicated VC class 1 -- when XY's first channel is busy
-        and YX's is free; XY rides class 0.
+        and YX's is free; XY rides class 0.  Both routes come from the
+        topology's memo, and their lane-pinned copies are built once per
+        pair; only the choice between them is made per message.
         """
-        from repro.mesh.topology import Hop
-
+        route = self.topology.route(message.src, message.dst)
         if self.config.routing != "adaptive":
-            return self.topology.route(message.src, message.dst)
-        xy = self.topology.route(message.src, message.dst)
-        yx = self.topology.route_yx(message.src, message.dst)
-        chosen, lane = xy, 0
-        if xy and yx and (xy[0].src, xy[0].dst) != (yx[0].src, yx[0].dst):
+            return route
+        key = (message.src, message.dst)
+        pinned = self._adaptive_routes.get(key)
+        if pinned is None:
+            yx = self.topology.route_yx(message.src, message.dst)
+            pinned = self._adaptive_routes[key] = (
+                tuple(Hop(h.src, h.dst, 0, h.scale) for h in route),
+                tuple(Hop(h.src, h.dst, 1, h.scale) for h in yx),
+            )
+        xy, yx = pinned
+        if xy and (xy[0].src, xy[0].dst) != (yx[0].src, yx[0].dst):
             xy_first = self._channels[(xy[0].src, xy[0].dst, 0)]
             yx_first = self._channels[(yx[0].src, yx[0].dst, 1)]
             if not xy_first.is_free and yx_first.is_free:
-                chosen, lane = yx, 1
                 self.adaptive_yx_taken += 1
-        return [Hop(h.src, h.dst, lane, h.scale) for h in chosen]
+                return yx
+        return xy
 
     # ------------------------------------------------------------------
     # delivery + stats

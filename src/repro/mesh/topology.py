@@ -8,13 +8,17 @@ a fitted characterization can drive any of them: the "use the
 distributions in ICN analysis" workflow across topologies.
 
 Every topology yields *directed physical channels* ``(u, v)`` and a
-deterministic, deadlock-free route as a list of :class:`Hop`\\ s.  A
+deterministic, deadlock-free route as a tuple of :class:`Hop`\\ s.  A
 hop's ``vclass`` pins the virtual-channel class the head flit must use
 on that link (the torus' dateline discipline, the chiplet's up/down
 phases); ``None`` leaves the class free for the router to balance.  A
 hop's ``scale`` multiplies the channel time on that link -- the
 TSV-style "vertical links are slower" knob driven by
 :class:`~repro.mesh.spec.TopologySpec` link scales.
+
+Routes are deterministic, so :meth:`Topology.route` computes each
+``(src, dst)`` pair once per topology instance (the subclass's
+``_route``) and returns the same immutable tuple on every later call.
 
 Topologies are built from specs through the registry in
 :mod:`repro.mesh.spec` (:func:`register_topology`); the built-in kinds
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mesh.spec import TopologySpec, register_topology
 
@@ -51,6 +55,9 @@ class Topology(ABC):
     #: Short name used in configs and reports.
     name: str = "topology"
 
+    def __init__(self) -> None:
+        self._routes: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
+
     @property
     @abstractmethod
     def num_nodes(self) -> int:
@@ -60,9 +67,21 @@ class Topology(ABC):
     def channels(self) -> Iterator[Tuple[int, int]]:
         """All directed physical channels ``(u, v)``."""
 
+    def route(self, src: int, dst: int) -> Tuple[Hop, ...]:
+        """Deterministic deadlock-free route (empty when src == dst).
+
+        Memoized per instance: the first call for a pair computes it
+        with :meth:`_route`, later calls return the same tuple.  An
+        invalid node raises :class:`ValueError` and caches nothing.
+        """
+        path = self._routes.get((src, dst))
+        if path is None:
+            path = self._routes[(src, dst)] = tuple(self._route(src, dst))
+        return path
+
     @abstractmethod
-    def route(self, src: int, dst: int) -> List[Hop]:
-        """Deterministic deadlock-free route (empty when src == dst)."""
+    def _route(self, src: int, dst: int) -> List[Hop]:
+        """Compute the route of one pair (uncached; see :meth:`route`)."""
 
     @abstractmethod
     def hops(self, src: int, dst: int) -> int:
@@ -112,6 +131,7 @@ class NDMeshTopology(Topology):
         wrap: Optional[Sequence[bool]] = None,
         link_scale: Optional[Sequence[float]] = None,
     ) -> None:
+        super().__init__()
         dims = tuple(int(d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"mesh dimensions must all be >= 1, got {dims!r}")
@@ -255,7 +275,7 @@ class NDMeshTopology(Topology):
             else:
                 path.append(Hop(u, v, vclass, scale))
 
-    def route(self, src: int, dst: int) -> List[Hop]:
+    def _route(self, src: int, dst: int) -> List[Hop]:
         position = list(self.coordinates(src))
         d = self.coordinates(dst)
         path: List[Hop] = []
@@ -287,6 +307,7 @@ class MeshTopology(NDMeshTopology):
         if width < 1 or height < 1:
             raise ValueError(f"mesh must be at least 1x1, got {width}x{height}")
         super().__init__((width, height), wrap=wrap, link_scale=link_scale)
+        self._routes_yx: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
 
     @property
     def width(self) -> int:
@@ -296,13 +317,19 @@ class MeshTopology(NDMeshTopology):
     def height(self) -> int:
         return self.dims[1]
 
-    def route_yx(self, src: int, dst: int) -> List[Hop]:
+    def route_yx(self, src: int, dst: int) -> Tuple[Hop, ...]:
         """Dimension-order route traversing Y before X.
 
         Used by adaptive routing as the alternative to the default XY
         order; on its own virtual-channel class it is deadlock-free by
-        the same dimension-order argument.
+        the same dimension-order argument.  Memoized like :meth:`route`.
         """
+        path = self._routes_yx.get((src, dst))
+        if path is None:
+            path = self._routes_yx[(src, dst)] = tuple(self._route_yx(src, dst))
+        return path
+
+    def _route_yx(self, src: int, dst: int) -> List[Hop]:
         position = list(self.coordinates(src))
         d = self.coordinates(dst)
         path: List[Hop] = []
@@ -349,6 +376,7 @@ class HypercubeTopology(Topology):
     def __init__(self, dimension: int) -> None:
         if dimension < 1:
             raise ValueError(f"hypercube dimension must be >= 1, got {dimension}")
+        super().__init__()
         self.dimension = dimension
 
     @classmethod
@@ -378,7 +406,7 @@ class HypercubeTopology(Topology):
         self._check_node(dst)
         return bin(src ^ dst).count("1")
 
-    def route(self, src: int, dst: int) -> List[Hop]:
+    def _route(self, src: int, dst: int) -> List[Hop]:
         self._check_node(src)
         self._check_node(dst)
         path: List[Hop] = []
@@ -421,6 +449,7 @@ class ChipletTopology(Topology):
     ) -> None:
         if hubs < 1:
             raise ValueError(f"chiplet topology needs hubs >= 1, got {hubs}")
+        super().__init__()
         self.block = NDMeshTopology(dims, link_scale=link_scale)
         self.hubs = hubs
         self.dims = self.block.dims
@@ -467,7 +496,7 @@ class ChipletTopology(Topology):
             return self.block.hops(local_src, local_dst)
         return self.block.hops(local_src, 0) + 1 + self.block.hops(0, local_dst)
 
-    def route(self, src: int, dst: int) -> List[Hop]:
+    def _route(self, src: int, dst: int) -> List[Hop]:
         source_chiplet = self.chiplet_of(src)
         dest_chiplet = self.chiplet_of(dst)
         source_offset = source_chiplet * self.block_nodes

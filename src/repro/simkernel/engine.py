@@ -35,6 +35,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -95,8 +96,11 @@ class Hold:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise SimulationError(f"hold() duration must be >= 0, got {self.duration}")
+        # One chained compare rejects negatives, NaN and infinity alike.
+        if not 0.0 <= self.duration < inf:
+            raise SimulationError(
+                f"hold() duration must be finite and >= 0, got {self.duration}"
+            )
 
 
 @dataclass(frozen=True)
@@ -398,7 +402,12 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                             # an immediate grant resumes the requester
                             # at ``now`` (reusing the fired record).
                             fac = command.facility
-                            fac._integrate()
+                            # Facility._integrate inlined against ``now``.
+                            span = now - fac._last_change
+                            if span > 0:
+                                fac._busy_integral += span * fac._busy
+                                fac._queue_integral += span * len(fac._queue)
+                                fac._last_change = now
                             fac.total_requests += 1
                             if fac._busy < fac.servers:
                                 fac._busy += 1
@@ -422,7 +431,11 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                             # grantee first, then the releaser's own
                             # zero-delay resume (reusing the record).
                             fac = command.facility
-                            fac._integrate()
+                            span = now - fac._last_change
+                            if span > 0:
+                                fac._busy_integral += span * fac._busy
+                                fac._queue_integral += span * len(fac._queue)
+                                fac._last_change = now
                             held = proc._held.get(fac, 0)
                             if held <= 0:
                                 raise SimulationError(
@@ -576,10 +589,13 @@ class Simulator:
 
         A negative ``delay`` raises :class:`InvalidDelayError` (a
         :class:`ValueError`): the event would fire in the simulated
-        past and rewind the clock inside :meth:`run`.
+        past and rewind the clock inside :meth:`run`.  A NaN or
+        infinite ``delay`` raises it too: it would poison the clock.
         """
-        if delay < 0:
-            raise InvalidDelayError(f"cannot schedule into the past (delay={delay})")
+        if not 0.0 <= delay < inf:
+            if delay < 0:
+                raise InvalidDelayError(f"cannot schedule into the past (delay={delay})")
+            raise InvalidDelayError(f"schedule() delay must be finite, got delay={delay}")
         if self._fast:
             self._sched.push_callback(self._now + delay, callback)
         else:

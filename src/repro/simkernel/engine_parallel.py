@@ -18,6 +18,7 @@ are unique.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -97,6 +98,8 @@ class ScheduleTraffic:
                     )
                 if gap < 0:
                     raise ValueError(f"negative gap {gap} for source {src}")
+                if not math.isfinite(gap):
+                    raise ValueError(f"non-finite gap {gap} for source {src}")
                 if msg_id in seen_ids:
                     raise ValueError(f"duplicate msg_id {msg_id}")
                 seen_ids.add(msg_id)

@@ -42,12 +42,12 @@ class Release:
 
 def request(facility: "Facility") -> Request:
     """Yieldable command acquiring ``facility`` (CSIM ``reserve``)."""
-    return Request(facility)
+    return facility._request_command
 
 
 def release(facility: "Facility") -> Release:
     """Yieldable command releasing ``facility`` (CSIM ``release``)."""
-    return Release(facility)
+    return facility._release_command
 
 
 class Facility:
@@ -78,6 +78,10 @@ class Facility:
         self.total_queued = 0
         self._wait_times: List[float] = []
         self._enqueue_times: Dict[int, float] = {}
+        # Commands are frozen and carry no per-use state, so every
+        # request/release of this facility yields the same two objects.
+        self._request_command = Request(self)
+        self._release_command = Release(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Facility({self.name!r}, busy={self._busy}/{self.servers}, q={len(self._queue)})"
@@ -225,10 +229,10 @@ class Facility:
         released synchronously so the facility cannot leak.
         """
         owner = self.simulator.current_process
-        yield Request(self)
+        yield self._request_command
         try:
             yield Hold(float(duration))
-            yield Release(self)
+            yield self._release_command
         except BaseException:
             holder = owner if owner is not None else self.simulator.current_process
             if holder is not None:

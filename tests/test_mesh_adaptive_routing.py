@@ -1,9 +1,13 @@
 """Tests for the adaptive (XY/YX) routing extension."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.mesh import MeshConfig, MeshNetwork, MeshTopology, NetworkMessage
 from repro.simkernel import Simulator, hold
+from repro.simkernel.engine_parallel import ScheduleTraffic, canonical_order
 
 
 def adaptive_config(**kwargs):
@@ -105,3 +109,43 @@ class TestAdaptiveBehaviour:
         sim.process(prober(), name="prober")
         sim.run()
         assert net.adaptive_yx_taken == 1
+
+
+class TestAdaptiveGolden:
+    """A 4x4 adaptive uniform run is pinned to its recorded outputs.
+
+    The digest hashes the canonically ordered log columns; it and the
+    YX count were recorded before routes were memoized and lane-pinned
+    per pair, so any drift in route choice or timing shows here.
+    """
+
+    DIGEST = "337b13ee9e2ec09a238367fb9b45d65d634e0989a9028e907c0de80748f787dc"
+    COLUMNS = ("msg_id", "src", "dst", "length_bytes", "inject_time",
+               "start_time", "deliver_time", "contention", "hops")
+
+    @pytest.mark.parametrize("scheduler", ("calendar", "heap"))
+    def test_uniform_run_matches_golden(self, scheduler):
+        config = MeshConfig.from_spec("4x4", virtual_channels=2, routing="adaptive")
+        traffic = ScheduleTraffic.compile_pattern(
+            config, "uniform", messages_per_source=60, seed=7, mean_gap=4.0
+        )
+        sim = Simulator(scheduler=scheduler)
+        net = MeshNetwork(sim, config)
+
+        def source(src, entries):
+            for gap, dst, length, msg_id in entries:
+                yield hold(gap)
+                yield from net.transfer(
+                    NetworkMessage(src=src, dst=dst, length_bytes=length, msg_id=msg_id)
+                )
+
+        for src in sorted(traffic.per_source):
+            sim.process(source(src, traffic.per_source[src]), name=f"s{src}")
+        sim.run(check_stall=True)
+        cols, _ = canonical_order(net.log).columns()
+        digest = hashlib.sha256()
+        for name in self.COLUMNS:
+            digest.update(np.ascontiguousarray(cols[name]).tobytes())
+        assert len(net.log) == 960
+        assert net.adaptive_yx_taken == 118
+        assert digest.hexdigest() == self.DIGEST
