@@ -57,6 +57,16 @@ class CCNUMAMachine:
         self.config = config or CoherenceConfig()
         self.obs = obs if obs is not None else simulator.obs
         self._observed = self.obs.enabled
+        # The config is frozen, so the fixed-delay holds and each
+        # message kind's (payload bytes, log tag) are built once.
+        cfg = self.config
+        self._directory_hold = hold(cfg.directory_time)
+        self._memory_hold = hold(cfg.memory_time)
+        self._local_hold = hold(cfg.local_time)
+        self._kinds = {
+            kind: (payload_bytes(kind, cfg.control_bytes, cfg.block_bytes), kind.value)
+            for kind in MessageKind
+        }
         if self._observed:
             self._m_dir_blocks = self.obs.time_series("coherence.directory_blocks")
             self._msgs_since_sample = 0
@@ -262,13 +272,13 @@ class CCNUMAMachine:
         yield from self.flush_cycles(pid)
         yield request(lock)
         yield from self.transfer(pid, home, MessageKind.UPDATE_REQ)
-        yield hold(self.config.directory_time)
+        yield self._directory_hold
         directory = self.directories[home]
         entry = directory.entry(block)
         sharers = set(entry.sharers)
         sharers.discard(pid)
         yield from self._update_all(home, block, sharers)
-        yield hold(self.config.memory_time)  # write-through to home memory
+        yield self._memory_hold  # write-through to home memory
         yield from self.transfer(home, pid, MessageKind.UPDATE_DONE)
         yield release(lock)
 
@@ -309,10 +319,10 @@ class CCNUMAMachine:
                 )
         if src == dst:
             self.local_messages += 1
-            yield hold(self.config.local_time)
+            yield self._local_hold
             return
-        nbytes = payload_bytes(kind, self.config.control_bytes, self.config.block_bytes)
-        message = NetworkMessage(src=src, dst=dst, length_bytes=nbytes, kind=kind.value)
+        nbytes, tag = self._kinds[kind]
+        message = NetworkMessage(src=src, dst=dst, length_bytes=nbytes, kind=tag)
         yield from self.network.transfer(message)
 
     def _block_lock(self, block: int) -> Facility:
@@ -330,7 +340,7 @@ class CCNUMAMachine:
         lock = self._block_lock(block)
         yield request(lock)
         yield from self.transfer(pid, home, MessageKind.READ_REQ)
-        yield hold(self.config.directory_time)
+        yield self._directory_hold
         directory = self.directories[home]
         entry = directory.entry(block)
 
@@ -341,7 +351,7 @@ class CCNUMAMachine:
             # the functional value is current either way.
             self.caches[owner].downgrade(block)
             yield from self.transfer(owner, home, MessageKind.FETCH_REPLY)
-            yield hold(self.config.memory_time)
+            yield self._memory_hold
             directory.clear_owner(block)
             # Record the owner as a sharer only if its (downgraded)
             # copy still exists *now* -- it may have been evicted while
@@ -353,7 +363,7 @@ class CCNUMAMachine:
             # reached the directory yet; reclaim ownership state.
             directory.clear_owner(block)
 
-        yield hold(self.config.memory_time)
+        yield self._memory_hold
         directory.record_reader(block, pid)
         yield from self.transfer(home, pid, MessageKind.DATA_REPLY)
         self._install(pid, block, CacheState.SHARED)
@@ -364,7 +374,7 @@ class CCNUMAMachine:
         lock = self._block_lock(block)
         yield request(lock)
         yield from self.transfer(pid, home, MessageKind.WRITE_REQ)
-        yield hold(self.config.directory_time)
+        yield self._directory_hold
         directory = self.directories[home]
         entry = directory.entry(block)
 
@@ -373,7 +383,7 @@ class CCNUMAMachine:
             yield from self.transfer(home, owner, MessageKind.FETCH)
             self.caches[owner].invalidate(block)
             yield from self.transfer(owner, home, MessageKind.FETCH_REPLY)
-            yield hold(self.config.memory_time)
+            yield self._memory_hold
             directory.clear_owner(block)
         elif entry.state is DirectoryState.EXCLUSIVE and entry.owner == pid:
             directory.clear_owner(block)
@@ -382,7 +392,7 @@ class CCNUMAMachine:
             sharers.discard(pid)
             yield from self._invalidate_all(home, block, sharers)
 
-        yield hold(self.config.memory_time)
+        yield self._memory_hold
         directory.record_owner(block, pid)
         yield from self.transfer(home, pid, MessageKind.DATA_REPLY)
         self._install(pid, block, CacheState.MODIFIED)
@@ -402,7 +412,7 @@ class CCNUMAMachine:
             yield from self._write_miss(pid, block)
             return
         yield from self.transfer(pid, home, MessageKind.UPGRADE_REQ)
-        yield hold(self.config.directory_time)
+        yield self._directory_hold
         sharers = directory.clear_sharers(block)
         sharers.discard(pid)
         yield from self._invalidate_all(home, block, sharers)
@@ -459,7 +469,7 @@ class CCNUMAMachine:
         if entry.state is DirectoryState.EXCLUSIVE and entry.owner == pid:
             self.writebacks += 1
             yield from self.transfer(pid, home, MessageKind.WRITEBACK)
-            yield hold(self.config.memory_time)
+            yield self._memory_hold
             directory.clear_owner(block)
         # Otherwise a competing transaction already recalled the line.
         yield release(lock)

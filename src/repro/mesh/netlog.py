@@ -62,7 +62,7 @@ class NetLogFormatError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NetLogRecord:
     """One delivered message's entry in the network activity log.
 
@@ -99,6 +99,34 @@ class NetLogRecord:
     deliver_time: float
     contention: float
     hops: int
+
+    def __init__(
+        self,
+        msg_id: int,
+        src: int,
+        dst: int,
+        length_bytes: int,
+        kind: str,
+        inject_time: float,
+        start_time: float,
+        deliver_time: float,
+        contention: float,
+        hops: int,
+    ) -> None:
+        # One record per delivered message: fields go straight into the
+        # instance dict instead of through the generated frozen init's
+        # ``object.__setattr__`` call per field.
+        fields_ = self.__dict__
+        fields_["msg_id"] = msg_id
+        fields_["src"] = src
+        fields_["dst"] = dst
+        fields_["length_bytes"] = length_bytes
+        fields_["kind"] = kind
+        fields_["inject_time"] = inject_time
+        fields_["start_time"] = start_time
+        fields_["deliver_time"] = deliver_time
+        fields_["contention"] = contention
+        fields_["hops"] = hops
 
     @property
     def latency(self) -> float:

@@ -21,9 +21,13 @@ from repro.mesh.packet import NetworkMessage
 from repro.mesh.topology import Hop
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import CHANNELS_PID, NULL_TIMELINE, TimelineRecorder
-from repro.simkernel import Facility, Hold, Mailbox, SimEvent, Simulator, hold
+from repro.simkernel import Facility, Hold, Mailbox, Request, SimEvent, Simulator, hold
 
 DeliveryHandler = Callable[[NetworkMessage, NetLogRecord], None]
+
+#: One hop of a resolved route: the channel lane's interned request
+#: command (its facility is the channel) and the hop's timing hold.
+HopStep = Tuple[Request, Hold]
 
 
 class MeshNetwork:
@@ -86,16 +90,25 @@ class MeshNetwork:
         self._ejection = [
             Facility(simulator, name=f"ej[{n}]") for n in range(config.num_nodes)
         ]
+        self._num_nodes = config.num_nodes
+        self._virtual_channels = config.virtual_channels
+        self._adaptive = config.routing == "adaptive"
         # Hold commands are frozen, so the fixed delays are built once:
-        # NI overheads here, one per hop time (keyed by the hop's link
+        # NI overheads here; the body-flit stream per message length
+        # (None when the head flit is the whole message) the first time
+        # a length is sent; one per hop time (keyed by the hop's link
         # scale) the first time a route needs it.
         self._injection_hold = hold(config.injection_time)
         self._ejection_hold = hold(config.ejection_time)
+        self._body_holds: Dict[int, Optional[Hold]] = {}
         self._hop_holds: Dict[float, Hold] = {}
-        # Adaptive routing: (src, dst) -> (XY on lane 0, YX on lane 1).
-        self._adaptive_routes: Dict[
-            Tuple[int, int], Tuple[Tuple[Hop, ...], Tuple[Hop, ...]]
-        ] = {}
+        # Hop plans: (src, dst, lane) -> the route resolved to interned
+        # (Request, Hold) steps, built on a pair's first message.  The
+        # lane is the free VC lane of deterministic routing, or the
+        # class of the route adaptive routing took (0 = XY, 1 = YX).
+        # Steps are shared across plans, keyed (u, v, lane, scale).
+        self._plans: Dict[Tuple[int, int, int], Tuple[HopStep, ...]] = {}
+        self._steps: Dict[Tuple[int, int, int, float], HopStep] = {}
         self._handlers: Dict[int, List[DeliveryHandler]] = {}
         self._mailboxes: Dict[int, Mailbox] = {}
         self._in_flight = 0
@@ -121,10 +134,12 @@ class MeshNetwork:
             for node in range(config.num_nodes):
                 self.timeline.name_process(node, f"node {node}")
             self.timeline.name_process(CHANNELS_PID, "network channels")
-            # Stable thread id per directed physical channel.
-            self._channel_tids: Dict[Tuple[int, int], int] = {}
+            # Stable thread id per directed physical channel, shared by
+            # its lanes.
+            self._channel_tids: Dict[Facility, int] = {}
             for tid, (u, v) in enumerate(sorted(self.topology.channels())):
-                self._channel_tids[(u, v)] = tid
+                for lane in range(config.virtual_channels):
+                    self._channel_tids[self._channels[(u, v, lane)]] = tid
                 self.timeline.name_thread(CHANNELS_PID, tid, f"ch {u}->{v}")
 
     # ------------------------------------------------------------------
@@ -187,94 +202,94 @@ class MeshNetwork:
         an aborted transfer cannot corrupt the contention and
         utilization accounting of the survivors.
         """
-        cfg = self.config
-        self._check_node(message.src)
-        self._check_node(message.dst)
+        src = message.src
+        dst = message.dst
+        n = self._num_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_node(src)
+            self._check_node(dst)
+        sim = self.simulator
         observed = self._observed
         timeline_on = self.timeline.enabled
-        owner = self.simulator.current_process
+        owner = sim.current_process
         self._in_flight += 1
         self.total_injected += 1
         if observed:
             self._m_injected.inc()
             self._m_in_flight.set(self._in_flight)
-        inject_time = self.simulator.now
-        contention = 0.0
-        path = self._select_route(message)
-        acquired: List[Facility] = []
+        inject_time = sim._now
+        plan = self._hop_plan(message)
+        inj = self._injection[src]
+        ej = self._ejection[dst]
+        # Facilities of the path in acquisition order are inj, each
+        # plan step's channel, ej; ``taken``/``released`` count into it.
+        taken = 0
         released = 0
         delivered = False
-        # (channel key, acquire time) pairs for the timeline's per-
-        # channel occupancy spans (wormhole: held until the tail drains).
-        channel_spans: List[Tuple[Tuple[int, int], float]] = []
+        # (channel, acquire time) pairs for the timeline's per-channel
+        # occupancy spans (wormhole: held until the tail drains).
+        channel_spans: Optional[List[Tuple[Facility, float]]] = (
+            [] if timeline_on else None
+        )
 
         try:
             # Source NI: serializes messages leaving the same node.
-            inj = self._injection[message.src]
-            t0 = self.simulator.now
             yield inj._request_command
-            contention += self.simulator.now - t0
-            acquired.append(inj)
-            start_time = self.simulator.now
+            taken = 1
+            contention = sim._now - inject_time
+            start_time = sim._now
             yield self._injection_hold
 
-            # Head flit walks the selected route, seizing each channel
-            # lane in order.  Hops that pin a virtual-channel class (the
-            # torus dateline, adaptive dimension orders) get it; free hops
-            # spread over lanes.
-            free_lane = message.msg_id % cfg.virtual_channels
-            channels = self._channels
-            hop_holds = self._hop_holds
-            for hop in path:
-                lane = hop.vclass if hop.vclass is not None else free_lane
-                channel = channels[(hop.src, hop.dst, lane)]
-                t0 = self.simulator.now
-                yield channel._request_command
-                hop_wait = self.simulator.now - t0
+            # Head flit walks the plan, seizing each channel lane in
+            # order and paying the hop's routing + (scaled) channel time.
+            for request, hop_hold in plan:
+                t0 = sim._now
+                yield request
+                taken += 1
+                hop_wait = sim._now - t0
                 contention += hop_wait
                 if observed:
                     self._m_hop_wait.observe(hop_wait)
                 if timeline_on:
-                    channel_spans.append(((hop.src, hop.dst), self.simulator.now))
-                acquired.append(channel)
-                # hop.scale carries the spec's per-dimension link-scale
-                # (TSV-style slow links); 1.0 leaves the float math
-                # bit-identical to the unscaled formula.
-                hop_hold = hop_holds.get(hop.scale)
-                if hop_hold is None:
-                    hop_hold = hop_holds[hop.scale] = hold(
-                        cfg.routing_time + cfg.channel_time * hop.scale
-                    )
+                    channel_spans.append((request.facility, sim._now))
                 yield hop_hold
 
             # Destination NI.
-            ej = self._ejection[message.dst]
-            t0 = self.simulator.now
+            t0 = sim._now
             yield ej._request_command
-            contention += self.simulator.now - t0
-            acquired.append(ej)
+            taken += 1
+            contention += sim._now - t0
             yield self._ejection_hold
 
             # Body flits stream over the held path (pipelined circuit).
-            flits = cfg.flits_for(message.length_bytes)
-            if flits > 1:
-                yield hold((flits - 1) * cfg.channel_time)
+            length = message.length_bytes
+            try:
+                body_hold = self._body_holds[length]
+            except KeyError:
+                body_hold = self._body_hold(length)
+            if body_hold is not None:
+                yield body_hold
 
-            for facility in acquired:
-                yield facility._release_command
+            yield inj._release_command
+            released = 1
+            for request, _ in plan:
+                yield request.facility._release_command
                 released += 1
+            yield ej._release_command
+            released += 1
 
+            now = sim._now
             record = NetLogRecord(
-                msg_id=message.msg_id,
-                src=message.src,
-                dst=message.dst,
-                length_bytes=message.length_bytes,
-                kind=message.kind,
-                inject_time=inject_time,
-                start_time=start_time,
-                deliver_time=self.simulator.now,
-                contention=contention,
-                hops=len(path),
+                message.msg_id,
+                src,
+                dst,
+                length,
+                message.kind,
+                inject_time,
+                start_time,
+                now,
+                contention,
+                len(plan),
             )
             self.log.add(record)
             self._in_flight -= 1
@@ -285,44 +300,44 @@ class MeshNetwork:
                 self._m_in_flight.set(self._in_flight)
                 self._m_latency.observe(record.latency)
                 self._m_contention.observe(contention)
-                self._m_hops.observe(len(path))
+                self._m_hops.observe(len(plan))
                 self._deliveries_since_sample += 1
                 if self._deliveries_since_sample >= self.CHANNEL_SAMPLE_INTERVAL:
                     self._deliveries_since_sample = 0
-                    self._sample_channels(self.simulator.now)
+                    self._sample_channels(now)
             if timeline_on:
-                now = self.simulator.now
                 self.timeline.complete(
-                    name=f"{message.kind} -> {message.dst}",
+                    name=f"{message.kind} -> {dst}",
                     category="message",
                     start=inject_time,
                     duration=now - inject_time,
-                    pid=message.src,
+                    pid=src,
                     tid=0,
                     args={
                         "msg_id": message.msg_id,
-                        "bytes": message.length_bytes,
+                        "bytes": length,
                         "contention": contention,
-                        "hops": len(path),
+                        "hops": len(plan),
                     },
                 )
-                for key, acquire_time in channel_spans:
+                for channel, acquire_time in channel_spans:
                     self.timeline.complete(
                         name=f"msg {message.msg_id}",
                         category="channel",
                         start=acquire_time,
                         duration=now - acquire_time,
                         pid=CHANNELS_PID,
-                        tid=self._channel_tids[key],
-                        args={"src": message.src, "dst": message.dst},
+                        tid=self._channel_tids[channel],
+                        args={"src": src, "dst": dst},
                     )
             self._deliver(message, record)
         except BaseException:
             # The unwind may arrive via GeneratorExit (shutdown/GC), so
             # no yields here: facilities are released synchronously.
-            holder = owner if owner is not None else self.simulator.current_process
+            holder = owner if owner is not None else sim.current_process
             if holder is not None:
-                for facility in acquired[released:]:
+                path = [inj, *(request.facility for request, _ in plan), ej]
+                for facility in path[released:taken]:
                     facility._abandon(holder)
             if not delivered:
                 self._in_flight -= 1
@@ -330,6 +345,15 @@ class MeshNetwork:
                     self._m_in_flight.set(self._in_flight)
             raise
         return record
+
+    def _body_hold(self, length_bytes: int) -> Optional[Hold]:
+        """Memoize the hold streaming a message's body flits (``None``
+        when the message is a single flit)."""
+        cfg = self.config
+        flits = cfg.flits_for(length_bytes)
+        body = hold((flits - 1) * cfg.channel_time) if flits > 1 else None
+        self._body_holds[length_bytes] = body
+        return body
 
     def _sample_channels(self, now: float) -> None:
         """Record the per-channel utilization/queue-depth time series
@@ -394,35 +418,75 @@ class MeshNetwork:
 
         sampler.watch_window(window)
 
-    def _select_route(self, message: NetworkMessage):
-        """Pick the message's route (and pinned lanes).
+    def _hop_plan(self, message: NetworkMessage) -> Tuple[HopStep, ...]:
+        """The message's route as interned ``(Request, Hold)`` steps.
 
-        Deterministic mode delegates to the topology.  Adaptive mode
-        (mesh) compares the XY and YX dimension orders and takes YX --
-        on its dedicated VC class 1 -- when XY's first channel is busy
-        and YX's is free; XY rides class 0.  Both routes come from the
-        topology's memo, and their lane-pinned copies are built once per
-        pair; only the choice between them is made per message.
+        Calls :meth:`Topology.route` exactly once per message (the
+        route memo lives there), then returns the plan cached under
+        ``(src, dst, lane)``.  Deterministic routing spreads hops whose
+        VC class is free over lane ``msg_id % virtual_channels``; hops
+        that pin a class (the torus dateline, chiplet up/down phases)
+        get it.  Adaptive routing (mesh) compares the XY and YX
+        dimension orders and takes YX -- on its dedicated lane 1 --
+        when XY's first channel is busy and YX's is free; XY rides
+        lane 0.  Only that choice is made per message.
         """
-        route = self.topology.route(message.src, message.dst)
-        if self.config.routing != "adaptive":
-            return route
-        key = (message.src, message.dst)
-        pinned = self._adaptive_routes.get(key)
-        if pinned is None:
-            yx = self.topology.route_yx(message.src, message.dst)
-            pinned = self._adaptive_routes[key] = (
-                tuple(Hop(h.src, h.dst, 0, h.scale) for h in route),
-                tuple(Hop(h.src, h.dst, 1, h.scale) for h in yx),
-            )
-        xy, yx = pinned
-        if xy and (xy[0].src, xy[0].dst) != (yx[0].src, yx[0].dst):
-            xy_first = self._channels[(xy[0].src, xy[0].dst, 0)]
-            yx_first = self._channels[(yx[0].src, yx[0].dst, 1)]
-            if not xy_first.is_free and yx_first.is_free:
-                self.adaptive_yx_taken += 1
-                return yx
+        src = message.src
+        dst = message.dst
+        route = self.topology.route(src, dst)
+        plans = self._plans
+        if not self._adaptive:
+            key = (src, dst, message.msg_id % self._virtual_channels)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = self._resolve(route, key[2])
+            return plan
+        xy = plans.get((src, dst, 0))
+        if xy is None:
+            # Mesh hops leave the VC class free, so the lane pins the
+            # whole route to its order's class.
+            xy = plans[(src, dst, 0)] = self._resolve(route, 0)
+            yx_route = self.topology.route_yx(src, dst)
+            if route and (route[0].src, route[0].dst) != (
+                yx_route[0].src,
+                yx_route[0].dst,
+            ):
+                plans[(src, dst, 1)] = self._resolve(yx_route, 1)
+        # Present only when the two orders leave on different channels.
+        yx = plans.get((src, dst, 1))
+        if (
+            yx is not None
+            and not xy[0][0].facility.is_free
+            and yx[0][0].facility.is_free
+        ):
+            self.adaptive_yx_taken += 1
+            return yx
         return xy
+
+    def _resolve(self, route: Tuple[Hop, ...], free_lane: int) -> Tuple[HopStep, ...]:
+        """Resolve ``route`` to interned steps, free hops on ``free_lane``."""
+        cfg = self.config
+        steps = self._steps
+        plan = []
+        for hop in route:
+            lane = hop.vclass if hop.vclass is not None else free_lane
+            key = (hop.src, hop.dst, lane, hop.scale)
+            step = steps.get(key)
+            if step is None:
+                hop_hold = self._hop_holds.get(hop.scale)
+                if hop_hold is None:
+                    # hop.scale carries the spec's per-dimension link
+                    # scale (TSV-style slow links); 1.0 leaves the float
+                    # math bit-identical to the unscaled formula.
+                    hop_hold = self._hop_holds[hop.scale] = hold(
+                        cfg.routing_time + cfg.channel_time * hop.scale
+                    )
+                step = steps[key] = (
+                    self._channels[(hop.src, hop.dst, lane)]._request_command,
+                    hop_hold,
+                )
+            plan.append(step)
+        return tuple(plan)
 
     # ------------------------------------------------------------------
     # delivery + stats
@@ -493,7 +557,5 @@ class MeshNetwork:
         return max(utils) if utils else 0.0
 
     def _check_node(self, node: int) -> None:
-        if not (0 <= node < self.config.num_nodes):
-            raise ValueError(
-                f"node {node} outside mesh with {self.config.num_nodes} nodes"
-            )
+        if not (0 <= node < self._num_nodes):
+            raise ValueError(f"node {node} outside mesh with {self._num_nodes} nodes")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -41,8 +42,19 @@ class NetworkMessage:
     msg_id: int = field(default_factory=lambda: next(_message_ids))
 
     def __post_init__(self) -> None:
-        if self.length_bytes < 0:
-            raise ValueError(f"length_bytes must be >= 0, got {self.length_bytes}")
+        # A fractional length would be logged truncated but timed
+        # rounded up, and NaN would only fail at delivery; bools are
+        # ints to ``operator.index`` but never a byte count.
+        length = self.length_bytes
+        try:
+            index = operator.index(length)
+        except TypeError:
+            index = None
+        if index is None or isinstance(length, bool):
+            raise ValueError(f"length_bytes must be an integer, got {length!r}")
+        if index < 0:
+            raise ValueError(f"length_bytes must be >= 0, got {index}")
+        self.length_bytes = index
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

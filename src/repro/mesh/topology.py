@@ -234,56 +234,52 @@ class NDMeshTopology(Topology):
                 total += abs(s[axis] - d[axis])
         return total
 
-    @staticmethod
-    def _ring_steps(start: int, stop: int, size: int) -> List[int]:
-        """Successive coordinates along the shorter ring direction."""
-        if start == stop or size == 1:
-            return []
-        forward = (stop - start) % size
-        backward = (start - stop) % size
+    def _walk_axis(self, path: List[Hop], u: int, target: int, axis: int) -> int:
+        """Append the hops moving node ``u`` to coordinate ``target`` on
+        ``axis``; returns the node reached.
+
+        Node ids step by the axis stride, so no coordinate vector is
+        rebuilt per hop.  A wrapped axis takes the shorter ring way
+        (forward on a tie) with the dateline VC discipline: class 0
+        until the wrap channel, class 1 after it.
+        """
+        size = self.dims[axis]
+        stride = self._strides[axis]
+        scale = self.link_scale[axis]
+        c = (u // stride) % size
+        if c == target:
+            return u
+        if not self.wrap[axis]:
+            delta = stride if target > c else -stride
+            for _ in range(abs(target - c)):
+                path.append(Hop(u, u + delta, None, scale))
+                u += delta
+            return u
+        forward = (target - c) % size
+        backward = (c - target) % size
         step = 1 if forward <= backward else -1
-        steps = []
-        position = start
-        while position != stop:
-            position = (position + step) % size
-            steps.append(position)
-        return steps
-
-    def _axis_hops(self, path: List[Hop], position: List[int], target: int, axis: int) -> None:
-        """Walk one unwrapped dimension to ``target`` (plain e-cube)."""
-        scale = self.link_scale[axis]
-        while position[axis] != target:
-            nxt = position[axis] + 1 if target > position[axis] else position[axis] - 1
-            u = self.node_at(*position)
-            position[axis] = nxt
-            path.append(Hop(u, self.node_at(*position), None, scale))
-
-    def _ring_axis_hops(self, path: List[Hop], position: List[int], target: int, axis: int) -> None:
-        """Walk one wrapped dimension with the dateline VC discipline."""
-        scale = self.link_scale[axis]
         vclass = 0
-        for nxt in self._ring_steps(position[axis], target, self.dims[axis]):
-            u = self.node_at(*position)
-            wrapped = abs(nxt - position[axis]) > 1
-            position[axis] = nxt
-            v = self.node_at(*position)
-            if wrapped:
+        for _ in range(forward if step == 1 else backward):
+            nxt = (c + step) % size
+            v = u + (nxt - c) * stride
+            if abs(nxt - c) > 1:
                 # Crossing the wrap channel: everything after the
                 # dateline rides class 1.
                 path.append(Hop(u, v, 0, scale))
                 vclass = 1
             else:
                 path.append(Hop(u, v, vclass, scale))
+            u = v
+            c = nxt
+        return u
 
     def _route(self, src: int, dst: int) -> List[Hop]:
-        position = list(self.coordinates(src))
-        d = self.coordinates(dst)
+        self._check_node(src)
+        self._check_node(dst)
         path: List[Hop] = []
-        for axis in range(len(self.dims)):
-            if self.wrap[axis] and self.dims[axis] > 1:
-                self._ring_axis_hops(path, position, d[axis], axis)
-            else:
-                self._axis_hops(path, position, d[axis], axis)
+        u = src
+        for axis, stride in enumerate(self._strides):
+            u = self._walk_axis(path, u, (dst // stride) % self.dims[axis], axis)
         return path
 
 
@@ -330,11 +326,11 @@ class MeshTopology(NDMeshTopology):
         return path
 
     def _route_yx(self, src: int, dst: int) -> List[Hop]:
-        position = list(self.coordinates(src))
-        d = self.coordinates(dst)
+        self._check_node(src)
+        self._check_node(dst)
         path: List[Hop] = []
-        self._axis_hops(path, position, d[1], 1)
-        self._axis_hops(path, position, d[0], 0)
+        u = self._walk_axis(path, src, dst // self.dims[0], 1)
+        self._walk_axis(path, u, dst % self.dims[0], 0)
         return path
 
 

@@ -89,18 +89,21 @@ class ProcessState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Hold:
     """Command: suspend the issuing process for ``duration`` time units."""
 
     duration: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, duration: float) -> None:
         # One chained compare rejects negatives, NaN and infinity alike.
-        if not 0.0 <= self.duration < inf:
+        if not 0.0 <= duration < inf:
             raise SimulationError(
-                f"hold() duration must be finite and >= 0, got {self.duration}"
+                f"hold() duration must be finite and >= 0, got {duration}"
             )
+        # Written straight into the instance dict: the generated frozen
+        # init pays an ``object.__setattr__`` call per field.
+        self.__dict__["duration"] = duration
 
 
 @dataclass(frozen=True)
@@ -277,9 +280,19 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                 fifo[head] = None
                 sched._head = head + 1
             else:
-                rec = sched.pop()
-                if rec is None:
+                # Inline CalendarScheduler.pop's wave promotion: the
+                # now-FIFO is drained, so the earliest wave becomes it.
+                if head:
+                    del fifo[:]
+                if not times:
+                    sched._head = 0
                     break
+                when = heappop(times)
+                sched._floor = when
+                fifo.extend(waves.pop(when))
+                rec = fifo[0]
+                fifo[0] = None
+                sched._head = 1
             simulator._now = now = rec.time
             proc = rec.proc
             if proc is None:
@@ -413,7 +426,7 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                                 fac._busy += 1
                                 held_map = proc._held
                                 held_map[fac] = held_map.get(fac, 0) + 1
-                                fac._wait_times.append(0.0)
+                                fac._grants += 1
                                 proc.state = RUNNABLE
                                 proc.waiting_on = None
                                 fifo.append(rec)
@@ -450,7 +463,8 @@ def steady_clock(simulator: "Simulator", until: Optional[float] = None) -> float
                             if queue:
                                 nxt = queue.popleft()
                                 queued_at = fac._enqueue_times.pop(id(nxt))
-                                fac._wait_times.append(now - queued_at)
+                                fac._wait_total += now - queued_at
+                                fac._grants += 1
                                 held_map = nxt._held
                                 held_map[fac] = held_map.get(fac, 0) + 1
                                 nxt.state = RUNNABLE

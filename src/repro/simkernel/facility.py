@@ -76,7 +76,10 @@ class Facility:
         self._last_change = 0.0
         self.total_requests = 0
         self.total_queued = 0
-        self._wait_times: List[float] = []
+        # Running queueing-delay total over every grant (immediate
+        # grants add nothing), so the mean needs no per-grant list.
+        self._wait_total = 0.0
+        self._grants = 0
         self._enqueue_times: Dict[int, float] = {}
         # Commands are frozen and carry no per-use state, so every
         # request/release of this facility yields the same two objects.
@@ -142,9 +145,9 @@ class Facility:
 
     def mean_wait_time(self) -> float:
         """Mean time requests spent queued before acquiring a server."""
-        if not self._wait_times:
+        if not self._grants:
             return 0.0
-        return sum(self._wait_times) / len(self._wait_times)
+        return self._wait_total / self._grants
 
     # ------------------------------------------------------------------
     # engine hooks
@@ -164,7 +167,7 @@ class Facility:
         if self._busy < self.servers:
             self._busy += 1
             self._grant(proc)
-            self._wait_times.append(0.0)
+            self._grants += 1
             self.simulator._schedule_step(proc, None, delay=0.0)
         else:
             self.total_queued += 1
@@ -186,7 +189,8 @@ class Facility:
         if self._queue:
             nxt = self._queue.popleft()
             queued_at = self._enqueue_times.pop(id(nxt))
-            self._wait_times.append(self.simulator.now - queued_at)
+            self._wait_total += self.simulator.now - queued_at
+            self._grants += 1
             self._grant(nxt)
             self.simulator._schedule_step(nxt, None, delay=0.0)
         else:

@@ -127,6 +127,30 @@ class TestNetworkBoundaries:
         with pytest.raises(ValueError):
             NetworkMessage(src=0, dst=1, length_bytes=-1)
 
+    @pytest.mark.parametrize(
+        "length, shown", ((64.5, "64.5"), (float("nan"), "nan"), (True, "True"))
+    )
+    def test_non_integer_length_rejected_at_construction(self, length, shown):
+        # 64.5 used to be logged as 64 B but timed as 65 B, and NaN
+        # failed only at delivery without naming the message.
+        with pytest.raises(ValueError, match=f"length_bytes must be an integer, got {shown}"):
+            NetworkMessage(src=0, dst=1, length_bytes=length)
+
+    def test_numpy_integer_length_accepted_as_int(self):
+        message = NetworkMessage(src=0, dst=1, length_bytes=np.int64(64))
+        assert message.length_bytes == 64 and type(message.length_bytes) is int
+        sim = Simulator()
+        net = MeshNetwork(sim, MeshConfig.parse("4x2"))
+        done = net.inject(message)
+        sim.run()
+        plain = Simulator()
+        reference = MeshNetwork(plain, MeshConfig.parse("4x2")).inject(
+            NetworkMessage(src=0, dst=1, length_bytes=64)
+        )
+        plain.run()
+        assert done.value.length_bytes == 64
+        assert done.value.latency == reference.value.latency
+
     def test_huge_message_delivered(self):
         sim = Simulator()
         net = MeshNetwork(sim, MeshConfig())

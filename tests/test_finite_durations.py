@@ -5,6 +5,7 @@ gap used to run to completion with ``clock == nan``.  Each entry point
 now raises its existing error type with a message naming the value.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -24,6 +25,20 @@ def test_hold_rejects_non_finite(value):
         hold(value)
     with pytest.raises(SimulationError, match=f"duration must be finite.*{value}"):
         Hold(value)
+
+
+def test_hold_keeps_the_frozen_dataclass_contract():
+    command = Hold(2.5)
+    assert command == Hold(duration=2.5) == hold(2.5)
+    assert hash(command) == hash(Hold(duration=2.5))
+    assert command != Hold(2.0)
+    assert [f.name for f in dataclasses.fields(Hold)] == ["duration"]
+    assert dataclasses.replace(command, duration=4.0) == Hold(4.0)
+    with pytest.raises(SimulationError, match="got -1.0"):
+        dataclasses.replace(command, duration=-1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        command.duration = 1.0
+    assert command.duration == 2.5
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)

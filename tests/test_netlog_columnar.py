@@ -9,6 +9,8 @@ trips reproduce the exact records and views; validation tests cover
 the endpoint checks and the CSV/npz format diagnostics.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +183,38 @@ class TestRowEquivalence:
             incremental.destination_count_matrix(NUM_NODES),
             oneshot.destination_count_matrix(NUM_NODES),
         )
+
+
+class TestRecordContract:
+    """The hand-written ``NetLogRecord.__init__`` keeps the frozen
+    dataclass contract of the generated one."""
+
+    VALUES = dict(msg_id=3, src=1, dst=6, length_bytes=64, kind="p2p",
+                  inject_time=1.5, start_time=2.0, deliver_time=9.25,
+                  contention=0.75, hops=4)
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = NetLogRecord(**self.VALUES)
+        by_position = NetLogRecord(*self.VALUES.values())
+        assert by_keyword == by_position
+        assert hash(by_keyword) == hash(by_position)
+        assert by_keyword.latency == 9.25 - 1.5
+
+    def test_fields_and_replace(self):
+        record = NetLogRecord(**self.VALUES)
+        assert [f.name for f in dataclasses.fields(NetLogRecord)] == list(self.VALUES)
+        moved = dataclasses.replace(record, dst=7, hops=5)
+        assert moved == NetLogRecord(**{**self.VALUES, "dst": 7, "hops": 5})
+        assert moved != record
+        assert dataclasses.asdict(record) == self.VALUES
+
+    def test_frozen(self):
+        record = NetLogRecord(**self.VALUES)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.hops = 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.src
+        assert record.hops == 4
 
 
 class TestEndpointValidation:

@@ -350,6 +350,26 @@ class TestFacility:
         # a waits 0, b waits 10.
         assert fac.mean_wait_time() == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("scheduler", ("calendar", "heap"))
+    def test_mean_wait_time_mixes_immediate_and_queued_grants(self, scheduler):
+        sim = Simulator(scheduler=scheduler)
+        fac = Facility(sim, name="f")
+        assert fac.mean_wait_time() == 0.0
+
+        def user(arrive, service):
+            yield hold(arrive)
+            yield request(fac)
+            yield hold(service)
+            yield release(fac)
+
+        # Arrivals at 0, 1, 2.5 and 20 with services 5, 3, 0.25, 1:
+        # grants at 0 (wait 0), 5 (wait 4), 8 (wait 5.5) and 20 (wait 0).
+        for arrive, service in ((0.0, 5.0), (1.0, 3.0), (2.5, 0.25), (20.0, 1.0)):
+            sim.process(user(arrive, service), name=f"u{arrive}")
+        sim.run()
+        assert fac.total_requests == 4 and fac.total_queued == 2
+        assert fac.mean_wait_time() == (0.0 + 4.0 + 5.5 + 0.0) / 4
+
     def test_zero_servers_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
