@@ -14,18 +14,14 @@ import pytest
 from repro import SyntheticTrafficGenerator
 from repro.mesh import MeshConfig, make_topology
 
-TOPOLOGIES = (
-    ("mesh", dict(topology="mesh", virtual_channels=1)),
-    ("torus", dict(topology="torus", virtual_channels=2)),
-    ("hypercube", dict(topology="hypercube", virtual_channels=1)),
-)
+TOPOLOGIES = ("mesh", "torus", "hypercube")
 
 
 def test_e11_topology_comparison_table(runs, benchmark):
     characterization = runs.run("1d-fft").characterization
     rows = []
-    for name, overrides in TOPOLOGIES:
-        config = MeshConfig(width=4, height=2, **overrides)
+    for name in TOPOLOGIES:
+        config = MeshConfig.parse(f"4x2:{name}")
         generator = SyntheticTrafficGenerator(
             characterization, mesh_config=config, seed=5, rate_scale=2.0
         )
@@ -48,7 +44,7 @@ def test_e11_topology_comparison_table(runs, benchmark):
     benchmark.pedantic(
         lambda: SyntheticTrafficGenerator(
             characterization,
-            mesh_config=MeshConfig(width=4, height=2, topology="hypercube"),
+            mesh_config=MeshConfig.parse("4x2:hypercube"),
             seed=6,
         ).generate(messages_per_source=60),
         rounds=1,

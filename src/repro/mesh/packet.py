@@ -10,6 +10,24 @@ from typing import Any, Optional
 _message_ids = itertools.count()
 
 
+def byte_length(length: Any) -> int:
+    """``length`` as an ``int`` message length, or a ``ValueError``.
+
+    A fractional length would be logged truncated but timed rounded
+    up, and NaN would only fail at delivery; bools are ints to
+    ``operator.index`` but never a byte count.  Numpy integers pass.
+    """
+    try:
+        index = operator.index(length)
+    except TypeError:
+        index = None
+    if index is None or isinstance(length, bool):
+        raise ValueError(f"length_bytes must be an integer, got {length!r}")
+    if index < 0:
+        raise ValueError(f"length_bytes must be >= 0, got {index}")
+    return index
+
+
 @dataclass
 class NetworkMessage:
     """A message to be carried by the mesh.
@@ -42,19 +60,7 @@ class NetworkMessage:
     msg_id: int = field(default_factory=lambda: next(_message_ids))
 
     def __post_init__(self) -> None:
-        # A fractional length would be logged truncated but timed
-        # rounded up, and NaN would only fail at delivery; bools are
-        # ints to ``operator.index`` but never a byte count.
-        length = self.length_bytes
-        try:
-            index = operator.index(length)
-        except TypeError:
-            index = None
-        if index is None or isinstance(length, bool):
-            raise ValueError(f"length_bytes must be an integer, got {length!r}")
-        if index < 0:
-            raise ValueError(f"length_bytes must be >= 0, got {index}")
-        self.length_bytes = index
+        self.length_bytes = byte_length(self.length_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -28,7 +28,7 @@ from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.netlog_stream import StreamingNetworkLog
 from repro.mesh.network import MeshNetwork
-from repro.mesh.packet import NetworkMessage
+from repro.mesh.packet import NetworkMessage, byte_length
 from repro.simkernel.engine import Simulator, hold
 
 __all__ = [
@@ -84,7 +84,7 @@ class ScheduleTraffic:
         seen_ids: Set[int] = set()
         for src in sorted(per_source):
             entries = tuple(
-                (float(gap), int(dst), int(length), int(msg_id))
+                (float(gap), int(dst), byte_length(length), int(msg_id))
                 for gap, dst, length, msg_id in per_source[src]
             )
             if not entries:
@@ -152,6 +152,7 @@ class ScheduleTraffic:
             )
         if mean_gap <= 0:
             raise ValueError(f"mean_gap must be positive, got {mean_gap}")
+        length_bytes = byte_length(length_bytes)
         n = config.num_nodes
         # In-layer node count below the highest axis: the 2-D width.
         # "local" traffic stays inside one layer.
@@ -176,7 +177,7 @@ class ScheduleTraffic:
                     if n < 2:
                         break
                     dst = int((src + 1 + rng.integers(n - 1)) % n)
-                entries.append((gap, dst, int(length_bytes), src * 1_000_000 + i))
+                entries.append((gap, dst, length_bytes, src * 1_000_000 + i))
             if entries:
                 per_source[src] = entries
         return cls(n, per_source)

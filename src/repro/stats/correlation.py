@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy import stats as sps
+
+from repro.stats._lazy import scipy_module
 
 
 def autocorrelation(series: np.ndarray, lag: int) -> float:
@@ -114,7 +115,7 @@ def correlation_profile(series: np.ndarray, max_lag: int = 10) -> CorrelationPro
     q_statistic = float(
         n * (n + 2) * sum(r * r / (n - lag) for lag, r in zip(lags, values))
     )
-    p_value = float(sps.chi2.sf(q_statistic, df=len(lags)))
+    p_value = float(scipy_module("stats").chi2.sf(q_statistic, df=len(lags)))
     return CorrelationProfile(
         lags=lags,
         values=values,

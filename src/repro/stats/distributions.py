@@ -16,7 +16,8 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
-from scipy import stats as sps
+
+from repro.stats._lazy import scipy_module
 
 _EPS = 1e-12
 
@@ -221,10 +222,14 @@ class Erlang(Distribution):
         self.rate = float(rate)
 
     def pdf(self, x):
-        return sps.erlang.pdf(np.asarray(x, dtype=float), self.k, scale=1.0 / self.rate)
+        return scipy_module("stats").erlang.pdf(
+            np.asarray(x, dtype=float), self.k, scale=1.0 / self.rate
+        )
 
     def cdf(self, x):
-        return sps.erlang.cdf(np.asarray(x, dtype=float), self.k, scale=1.0 / self.rate)
+        return scipy_module("stats").erlang.cdf(
+            np.asarray(x, dtype=float), self.k, scale=1.0 / self.rate
+        )
 
     def mean(self):
         return self.k / self.rate
@@ -268,10 +273,14 @@ class Gamma(Distribution):
         self.scale = float(scale)
 
     def pdf(self, x):
-        return sps.gamma.pdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return scipy_module("stats").gamma.pdf(
+            np.asarray(x, dtype=float), self.shape, scale=self.scale
+        )
 
     def cdf(self, x):
-        return sps.gamma.cdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return scipy_module("stats").gamma.cdf(
+            np.asarray(x, dtype=float), self.shape, scale=self.scale
+        )
 
     def mean(self):
         return self.shape * self.scale
@@ -314,10 +323,14 @@ class Weibull(Distribution):
         self.scale = float(scale)
 
     def pdf(self, x):
-        return sps.weibull_min.pdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return scipy_module("stats").weibull_min.pdf(
+            np.asarray(x, dtype=float), self.shape, scale=self.scale
+        )
 
     def cdf(self, x):
-        return sps.weibull_min.cdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return scipy_module("stats").weibull_min.cdf(
+            np.asarray(x, dtype=float), self.shape, scale=self.scale
+        )
 
     def mean(self):
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
@@ -364,10 +377,14 @@ class Normal(Distribution):
         self.sigma = float(sigma)
 
     def pdf(self, x):
-        return sps.norm.pdf(np.asarray(x, dtype=float), self.mu, self.sigma)
+        return scipy_module("stats").norm.pdf(
+            np.asarray(x, dtype=float), self.mu, self.sigma
+        )
 
     def cdf(self, x):
-        return sps.norm.cdf(np.asarray(x, dtype=float), self.mu, self.sigma)
+        return scipy_module("stats").norm.cdf(
+            np.asarray(x, dtype=float), self.mu, self.sigma
+        )
 
     def mean(self):
         return self.mu
@@ -646,12 +663,12 @@ class Lognormal(Distribution):
         self.sigma = float(sigma)
 
     def pdf(self, x):
-        return sps.lognorm.pdf(
+        return scipy_module("stats").lognorm.pdf(
             np.asarray(x, dtype=float), self.sigma, scale=math.exp(self.mu)
         )
 
     def cdf(self, x):
-        return sps.lognorm.cdf(
+        return scipy_module("stats").lognorm.cdf(
             np.asarray(x, dtype=float), self.sigma, scale=math.exp(self.mu)
         )
 
@@ -706,10 +723,14 @@ class Pareto(Distribution):
         self.scale = float(scale)
 
     def pdf(self, x):
-        return sps.pareto.pdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return scipy_module("stats").pareto.pdf(
+            np.asarray(x, dtype=float), self.shape, scale=self.scale
+        )
 
     def cdf(self, x):
-        return sps.pareto.cdf(np.asarray(x, dtype=float), self.shape, scale=self.scale)
+        return scipy_module("stats").pareto.cdf(
+            np.asarray(x, dtype=float), self.shape, scale=self.scale
+        )
 
     def mean(self):
         if self.shape <= 1:

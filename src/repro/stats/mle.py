@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Type
 
 import numpy as np
-from scipy import optimize
 
+from repro.stats._lazy import scipy_module
 from repro.stats.distributions import Distribution
 
 #: Floor applied to densities inside the log-likelihood so single
@@ -85,7 +85,7 @@ def fit_mle(
         return negative_log_likelihood(candidate, data)
 
     x0 = start.to_unconstrained()
-    result = optimize.minimize(
+    result = scipy_module("optimize").minimize(
         objective,
         x0,
         method="Nelder-Mead",

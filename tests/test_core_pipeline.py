@@ -205,7 +205,7 @@ class TestSyntheticAndValidation:
     def test_mesh_mismatch_rejected(self, fft_run):
         with pytest.raises(ValueError):
             SyntheticTrafficGenerator(
-                fft_run.characterization, mesh_config=MeshConfig(width=4, height=4)
+                fft_run.characterization, mesh_config=MeshConfig.parse("4x4")
             )
 
     def test_bad_parameters_rejected(self, fft_run):

@@ -108,7 +108,7 @@ class TestKernelFailures:
 class TestNetworkBoundaries:
     def test_1x1_mesh_only_local_traffic(self):
         sim = Simulator()
-        net = MeshNetwork(sim, MeshConfig(width=1, height=1))
+        net = MeshNetwork(sim, MeshConfig.parse("1x1"))
         done = net.inject(NetworkMessage(src=0, dst=0, length_bytes=8))
         sim.run()
         assert done.value.hops == 0

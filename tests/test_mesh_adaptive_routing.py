@@ -12,7 +12,7 @@ from repro.simkernel.engine_parallel import ScheduleTraffic, canonical_order
 
 def adaptive_config(**kwargs):
     return MeshConfig(
-        width=4, height=2, routing="adaptive", virtual_channels=2, **kwargs
+        spec="4x2", routing="adaptive", virtual_channels=2, **kwargs
     )
 
 
@@ -39,7 +39,7 @@ class TestRouteYX:
 class TestAdaptiveConfig:
     def test_requires_mesh(self):
         with pytest.raises(ValueError):
-            MeshConfig(topology="torus", routing="adaptive", virtual_channels=2)
+            MeshConfig(spec="4x2:torus", routing="adaptive", virtual_channels=2)
 
     def test_requires_two_vcs(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestAdaptiveBehaviour:
 
     def test_adaptive_not_slower_than_deterministic(self):
         deterministic = self.run_hotspot(
-            MeshConfig(width=4, height=2, virtual_channels=2)
+            MeshConfig(spec="4x2", virtual_channels=2)
         )
         adaptive = self.run_hotspot(adaptive_config())
         assert adaptive.log.mean_latency() <= deterministic.log.mean_latency() * 1.05

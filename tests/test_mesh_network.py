@@ -8,7 +8,7 @@ from repro.simkernel import Simulator, hold
 
 def make_net(width=4, height=2, **kwargs):
     sim = Simulator()
-    cfg = MeshConfig(width=width, height=height, **kwargs)
+    cfg = MeshConfig(spec=f"{width}x{height}", **kwargs)
     return sim, MeshNetwork(sim, cfg)
 
 

@@ -1,5 +1,7 @@
 """Tests for the classic synthetic traffic patterns."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ class TestFactoryAndHarness:
     def test_transpose_skips_self_messages(self):
         pattern = make_pattern("transpose", 16)
         log = drive_pattern(
-            pattern, MeshConfig(width=4, height=4), messages_per_source=10
+            pattern, MeshConfig.parse("4x4"), messages_per_source=10
         )
         # Four diagonal nodes send nothing.
         assert len(log) == (16 - 4) * 10
@@ -113,7 +115,7 @@ class TestFactoryAndHarness:
 
     def test_bit_complement_latency_exceeds_uniform(self):
         # Bit-complement maximizes distance on the mesh.
-        config = MeshConfig(width=4, height=4)
+        config = MeshConfig.parse("4x4")
         uniform_log = drive_pattern(
             make_pattern("uniform", 16), config, messages_per_source=30, seed=3
         )
@@ -129,7 +131,7 @@ class TestFactoryAndHarness:
         with pytest.raises(ValueError):
             drive_pattern(pattern, MeshConfig(), mean_gap=0)
         with pytest.raises(ValueError):
-            drive_pattern(pattern, MeshConfig(width=4, height=4))
+            drive_pattern(pattern, MeshConfig.parse("4x4"))
 
     def test_pattern_needs_two_nodes(self):
         with pytest.raises(ValueError):
@@ -297,6 +299,49 @@ class TestScheduleTraffic:
             ScheduleTraffic(4, {0: [(1.0, 9, 64, 0)]})
         with pytest.raises(ValueError, match="negative gap"):
             ScheduleTraffic(4, {0: [(-1.0, 1, 64, 0)]})
+
+    # NetworkMessage's length rule, applied when the schedule is built:
+    # 64.5 used to run as 64 B, and -5 failed only inside the event loop.
+    BAD_LENGTHS = (
+        (64.5, "an integer, got 64.5"),
+        (-5, ">= 0, got -5"),
+        (float("nan"), "an integer, got nan"),
+        (True, "an integer, got True"),
+    )
+
+    @pytest.mark.parametrize("length, shown", BAD_LENGTHS)
+    def test_compile_rejects_bad_lengths(self, length, shown):
+        from repro.simkernel.engine_parallel import ScheduleTraffic
+
+        with pytest.raises(ValueError, match=re.escape(f"length_bytes must be {shown}")):
+            ScheduleTraffic.compile_pattern(
+                MeshConfig.parse("4x4"), messages_per_source=3, length_bytes=length
+            )
+
+    @pytest.mark.parametrize("length, shown", BAD_LENGTHS)
+    def test_constructor_rejects_bad_lengths(self, length, shown):
+        from repro.simkernel.engine_parallel import ScheduleTraffic
+
+        with pytest.raises(ValueError, match=re.escape(f"length_bytes must be {shown}")):
+            ScheduleTraffic(4, {0: [(1.0, 1, 64, 0), (1.0, 2, length, 1)]})
+
+    def test_numpy_integer_length_is_stored_as_int(self):
+        from repro.simkernel.engine_parallel import ScheduleTraffic
+
+        config = MeshConfig.parse("4x4")
+        compiled = ScheduleTraffic.compile_pattern(
+            config, messages_per_source=3, length_bytes=np.int64(64)
+        )
+        plain = ScheduleTraffic.compile_pattern(config, messages_per_source=3, length_bytes=64)
+        assert compiled.per_source == plain.per_source
+        assert all(
+            type(length) is int
+            for entries in compiled.per_source.values()
+            for _, _, length, _ in entries
+        )
+        direct = ScheduleTraffic(4, {0: [(1.0, 1, np.int64(64), 0)]})
+        (entry,) = direct.per_source[0]
+        assert entry[2] == 64 and type(entry[2]) is int
 
     def test_traffic_mesh_size_mismatch(self):
         from repro.simkernel.engine_parallel import run_serial_schedule

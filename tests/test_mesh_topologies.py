@@ -68,8 +68,8 @@ class TestTorusTopology:
 
     def test_requires_two_vclasses(self):
         with pytest.raises(ValueError):
-            MeshConfig(topology="torus", virtual_channels=1)
-        MeshConfig(topology="torus", virtual_channels=2)  # ok
+            MeshConfig(spec="4x2:torus", virtual_channels=1)
+        MeshConfig(spec="4x2:torus", virtual_channels=2)  # ok
 
 
 class TestHypercubeTopology:
@@ -121,7 +121,7 @@ class TestMakeTopology:
 
     def test_hypercube_node_count_enforced(self):
         with pytest.raises(ValueError):
-            MeshConfig(width=3, height=2, topology="hypercube")
+            MeshConfig(spec="3x2:hypercube")
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,21 +153,21 @@ class TestNetworkOnAlternativeTopologies:
         return net, [e.value for e in events]
 
     def test_torus_delivers_under_load(self):
-        config = MeshConfig(width=4, height=2, topology="torus", virtual_channels=2)
+        config = MeshConfig(spec="4x2:torus", virtual_channels=2)
         pairs = [(s, (s + 3) % 8) for s in range(8)] * 5
         net, records = self.run_traffic(config, pairs)
         assert len(net.log) == 40
         assert all(r.deliver_time > 0 for r in records)
 
     def test_torus_shortens_long_routes(self):
-        mesh_cfg = MeshConfig(width=4, height=2, topology="mesh")
-        torus_cfg = MeshConfig(width=4, height=2, topology="torus", virtual_channels=2)
+        mesh_cfg = MeshConfig(spec="4x2:mesh")
+        torus_cfg = MeshConfig(spec="4x2:torus", virtual_channels=2)
         _, mesh_records = self.run_traffic(mesh_cfg, [(0, 3)])
         _, torus_records = self.run_traffic(torus_cfg, [(0, 3)])
         assert torus_records[0].hops < mesh_records[0].hops
 
     def test_hypercube_delivers(self):
-        config = MeshConfig(width=4, height=2, topology="hypercube")
+        config = MeshConfig(spec="4x2:hypercube")
         net, records = self.run_traffic(config, [(0, 7), (5, 2)])
         assert records[0].hops == 3  # Hamming(0, 7)
         assert records[1].hops == 3  # Hamming(5, 2)
@@ -175,14 +175,14 @@ class TestNetworkOnAlternativeTopologies:
     def test_virtual_channels_reduce_blocking(self):
         # Cross traffic converging on channel (2, 3): with 2 lanes,
         # worms from different sources can overlap on the shared link.
-        base = dict(width=4, height=1, topology="mesh")
+        base = dict(spec="4x1:mesh")
         pairs = [(0, 3), (1, 3), (2, 3), (0, 3), (1, 3), (2, 3)]
         single, _ = self.run_traffic(MeshConfig(**base, virtual_channels=1), pairs)
         double, _ = self.run_traffic(MeshConfig(**base, virtual_channels=2), pairs)
         assert double.log.mean_contention() < single.log.mean_contention()
 
     def test_vc_lane_lookup(self):
-        config = MeshConfig(width=4, height=1, virtual_channels=2)
+        config = MeshConfig(spec="4x1", virtual_channels=2)
         sim = Simulator()
         net = MeshNetwork(sim, config)
         assert net.channel(0, 1, lane=0) is not net.channel(0, 1, lane=1)

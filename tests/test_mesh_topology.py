@@ -128,7 +128,12 @@ class TestMeshConfig:
         # 2 hops, 16 bytes -> 3 flits: 1 + 2*(1+1) + 2*1 + 1 = 8
         assert cfg.zero_load_latency(2, 16) == pytest.approx(8.0)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        import repro.mesh.config as config_mod
+
+        # width= is the legacy geometry shim; its deprecation warning
+        # has its own test in test_topology_spec.py.
+        monkeypatch.setattr(config_mod, "_legacy_geometry_warned", True)
         with pytest.raises(ValueError):
             MeshConfig(width=0)
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ def build_trace(entries):
 
 def fresh_network(width=4, height=2):
     sim = Simulator()
-    return MeshNetwork(sim, MeshConfig(width=width, height=height))
+    return MeshNetwork(sim, MeshConfig.parse(f"{width}x{height}"))
 
 
 class TestTraceLog:
