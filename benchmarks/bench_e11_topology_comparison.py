@@ -12,7 +12,7 @@ hypercube, whose XOR partners are single hops.
 import pytest
 
 from repro import SyntheticTrafficGenerator
-from repro.mesh import MeshConfig, make_topology
+from repro.mesh import MeshConfig, TopologySpec
 
 TOPOLOGIES = ("mesh", "torus", "hypercube")
 
@@ -54,8 +54,8 @@ def test_e11_topology_comparison_table(runs, benchmark):
 
 def test_e11_average_distance_ordering(runs):
     # Static topology property backing the dynamic result above.
-    mesh = make_topology("mesh", 4, 2)
-    torus = make_topology("torus", 4, 2)
-    cube = make_topology("hypercube", 4, 2)
+    mesh = TopologySpec(kind="mesh", dims=(4, 2)).build()
+    torus = TopologySpec(kind="torus", dims=(4, 2)).build()
+    cube = TopologySpec(kind="hypercube", dims=(4, 2)).build()
     assert cube.average_distance() < mesh.average_distance()
     assert torus.average_distance() <= mesh.average_distance()

@@ -2,7 +2,7 @@
 
 Builds one synthetic log of ``--records`` messages, loads it into both
 :class:`repro.mesh.netlog.NetworkLog` (columnar) and
-:class:`repro.mesh.netlog_rows.RowNetworkLog` (the preserved row/loop
+:class:`tests.netlog_rows.RowNetworkLog` (the preserved row/loop
 oracle), then times the analysis mix the characterization pipeline
 actually runs: interarrival series (global and per-source),
 destination-count and volume fractions per source, the full
@@ -13,8 +13,10 @@ analysis pass over a just-collected log.
 
 Standalone (not a pytest benchmark) so CI can gate on the result:
 
-    PYTHONPATH=src python benchmarks/bench_netlog_columnar.py \
+    PYTHONPATH=src:. python benchmarks/bench_netlog_columnar.py \
         --records 100000 --check --min-speedup 5.0
+
+(the repository root on ``PYTHONPATH`` makes the oracle importable).
 
 ``--check`` exits non-zero if the columnar path is slower than
 ``--min-speedup`` times the row path.
@@ -29,7 +31,6 @@ import time
 import numpy as np
 
 from repro.mesh.netlog import NetLogRecord, NetworkLog
-from repro.mesh.netlog_rows import RowNetworkLog
 
 KINDS = ("p2p", "coherence", "reply")
 LENGTHS = (8, 16, 64, 256, 1024)
@@ -83,10 +84,10 @@ def analysis_pass(log, num_nodes):
 
 def invalidate(log):
     """Force the next analysis pass to rebuild every cache/index."""
-    if isinstance(log, RowNetworkLog):
-        log._by_source_index = None
-    else:
+    if isinstance(log, NetworkLog):
         log._views = None
+    else:
+        log._by_source_index = None
 
 
 def time_log(log, num_nodes, iterations):
@@ -105,6 +106,10 @@ def time_log(log, num_nodes, iterations):
 
 
 def main(argv=None):
+    # Imported here so collecting this module under pytest needs only
+    # ``src`` on the path; running the gate needs the repository root.
+    from tests.netlog_rows import RowNetworkLog
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=int, default=100_000)
     parser.add_argument("--nodes", type=int, default=16)

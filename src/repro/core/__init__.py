@@ -32,10 +32,7 @@ from repro.core.loadsweep import (
     measure_load_point,
     sweep_load,
 )
-from repro.core.options import (
-    RunOptions,
-    resolve_run_options,
-)
+from repro.core.options import RunOptions
 from repro.core.phases import PhaseSegment, phase_table, segment_phases
 from repro.core.methodology import (
     CharacterizationRun,
@@ -79,7 +76,6 @@ __all__ = [
     "estimate_bursts",
     "measure_load_point",
     "phase_table",
-    "resolve_run_options",
     "run_dynamic",
     "run_pattern",
     "run_static",

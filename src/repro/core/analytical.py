@@ -80,7 +80,7 @@ class WormholeLatencyModel:
                 f"characterization is for {characterization.num_nodes} nodes, "
                 f"network has {self.config.num_nodes}"
             )
-        self.topology = self.config.make_topology()
+        self.topology = self.config.spec.build()
         self._build_traffic_matrix()
 
     def _build_traffic_matrix(self) -> None:

@@ -3,9 +3,8 @@
 :func:`run_dynamic`, :func:`run_static` and :func:`run_synthetic` are
 the front door to the methodology: each takes the workload (an
 application instance or registry name, or a fitted characterization)
-plus a single :class:`~repro.core.options.RunOptions` bundle, instead
-of the per-function instrumentation kwargs the lower-level
-``characterize_*`` pipelines accumulated.
+plus a single :class:`~repro.core.options.RunOptions` bundle, which
+they pass unchanged to the lower-level ``characterize_*`` pipelines.
 
 ::
 

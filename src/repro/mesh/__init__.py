@@ -17,9 +17,9 @@ Public surface:
   topology description with the canonical spec grammar and the
   :func:`~repro.mesh.spec.register_topology` plugin registry.
 * :class:`~repro.mesh.config.MeshConfig` -- a spec plus timing knobs.
-* :class:`~repro.mesh.topology.MeshTopology` (and the N-D/hierarchical
-  classes) -- node/coordinate algebra and routing.
-* :func:`~repro.mesh.routing.xy_route` -- dimension-order routing.
+* :class:`~repro.mesh.topology.NDMeshTopology` (and the hypercube and
+  chiplet classes) -- node/coordinate algebra and deterministic
+  routing; ``TopologySpec.build()`` picks the class for a spec.
 * :class:`~repro.mesh.packet.NetworkMessage` -- a message in flight.
 * :class:`~repro.mesh.network.MeshNetwork` -- the simulator proper.
 * :class:`~repro.mesh.netlog.NetworkLog` -- the activity log analyzed by
@@ -61,7 +61,6 @@ from repro.mesh.patterns import (
     register_pattern,
     registered_patterns,
 )
-from repro.mesh.routing import xy_route
 from repro.mesh.spec import (
     TOPOLOGIES,
     TopologySpec,
@@ -74,11 +73,8 @@ from repro.mesh.topology import (
     ChipletTopology,
     Hop,
     HypercubeTopology,
-    MeshTopology,
     NDMeshTopology,
     Topology,
-    TorusTopology,
-    make_topology,
 )
 
 __all__ = [
@@ -92,7 +88,6 @@ __all__ = [
     "LogSummary",
     "MeshConfig",
     "MeshNetwork",
-    "MeshTopology",
     "NDMeshTopology",
     "NeighborTraffic",
     "NetLogFormatError",
@@ -108,7 +103,6 @@ __all__ = [
     "TopologySpec",
     "TopologySpecError",
     "TornadoTraffic",
-    "TorusTopology",
     "TrafficPattern",
     "TransposeTraffic",
     "UniformTraffic",
@@ -116,7 +110,6 @@ __all__ = [
     "drive_pattern",
     "iter_segments",
     "make_pattern",
-    "make_topology",
     "materialize_manifest",
     "pattern_for_config",
     "read_manifest",
@@ -127,5 +120,4 @@ __all__ = [
     "summarize_csv",
     "summarize_npz",
     "summary_from_manifest",
-    "xy_route",
 ]

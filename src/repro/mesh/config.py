@@ -1,38 +1,20 @@
 """Configuration of the simulated network: a TopologySpec plus timing.
 
-:class:`MeshConfig` is the value every simulator layer consumes.  Since
-the :class:`~repro.mesh.spec.TopologySpec` redesign it is a thin facade
-over a spec: geometry lives in ``config.spec`` (any N-D or hierarchical
-topology), timing and wormhole parameters live here.  The legacy 2-D
-``width=``/``height=``/``topology=`` keyword arguments still work as a
-compatibility shim (one :class:`DeprecationWarning` per process), and
-``width``/``height``/``topology`` remain readable properties so
-existing consumers keep working unchanged.
+:class:`MeshConfig` is the value every simulator layer consumes.  It is
+a thin facade over a :class:`~repro.mesh.spec.TopologySpec`: geometry
+lives in ``config.spec`` (any N-D or hierarchical topology), timing and
+wormhole parameters live here.  ``width``/``height``/``topology`` are
+read-only views of the spec for the analysis code that still takes a
+2-D geometry.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.mesh.spec import TopologySpec
-
-_LEGACY_GEOMETRY_MESSAGE = (
-    "MeshConfig(width=, height=, topology=) is deprecated; pass "
-    "spec=TopologySpec(...) or use MeshConfig.parse('WxH[:kind]') / "
-    "MeshConfig.from_spec(...)"
-)
-_legacy_geometry_warned = False
-
-
-def _warn_legacy_geometry() -> None:
-    """Warn about width=/height=/topology= once per process."""
-    global _legacy_geometry_warned
-    if not _legacy_geometry_warned:
-        _legacy_geometry_warned = True
-        warnings.warn(_LEGACY_GEOMETRY_MESSAGE, DeprecationWarning, stacklevel=4)
 
 
 @dataclass(frozen=True, init=False)
@@ -95,9 +77,6 @@ class MeshConfig:
         self,
         spec: Optional[Union[TopologySpec, str]] = None,
         *,
-        width: Optional[int] = None,
-        height: Optional[int] = None,
-        topology: Optional[str] = None,
         virtual_channels: int = 1,
         routing: str = "deterministic",
         flit_bytes: int = 8,
@@ -107,24 +86,7 @@ class MeshConfig:
         injection_time: float = 1.0,
         ejection_time: float = 1.0,
     ) -> None:
-        if width is not None or height is not None or topology is not None:
-            if spec is not None:
-                raise ValueError(
-                    "pass spec= or the legacy width=/height=/topology= "
-                    "keywords, not both"
-                )
-            _warn_legacy_geometry()
-            legacy_width = 4 if width is None else width
-            legacy_height = 2 if height is None else height
-            if legacy_width < 1 or legacy_height < 1:
-                raise ValueError(
-                    f"mesh must be at least 1x1, got {legacy_width}x{legacy_height}"
-                )
-            spec = TopologySpec(
-                kind=topology if topology is not None else "mesh",
-                dims=(legacy_width, legacy_height),
-            )
-        elif spec is None:
+        if spec is None:
             spec = TopologySpec()
         elif isinstance(spec, str):
             spec = TopologySpec.parse(spec)
@@ -146,7 +108,7 @@ class MeshConfig:
     def _validate(self) -> None:
         # Validates the spec kind and (for hypercube) the node count,
         # and lets the routing discipline demand virtual channels.
-        built = self.make_topology()
+        built = self.spec.build()
         if self.virtual_channels < built.required_vclasses:
             raise ValueError(
                 f"{self.topology} routing needs >= {built.required_vclasses} "
@@ -207,7 +169,7 @@ class MeshConfig:
         return cls.from_spec(TopologySpec.parse(spec))
 
     # ------------------------------------------------------------------
-    # Legacy geometry views
+    # 2-D geometry views of the spec
     # ------------------------------------------------------------------
 
     @property
@@ -222,17 +184,13 @@ class MeshConfig:
 
     @property
     def topology(self) -> str:
-        """The spec's topology kind (legacy name)."""
+        """The spec's topology kind."""
         return self.spec.kind
 
     @property
     def num_nodes(self) -> int:
         """Total node count of the network."""
         return self.spec.num_nodes
-
-    def make_topology(self):
-        """Instantiate the configured :class:`~repro.mesh.topology.Topology`."""
-        return self.spec.build()
 
     def flits_for(self, length_bytes: int) -> int:
         """Number of flits (header + payload) for a message of

@@ -25,8 +25,8 @@ Storage is struct-of-arrays, not row objects:
 Row-shaped accessors (:attr:`NetworkLog.records`, ``__iter__``,
 :meth:`NetworkLog.by_source`) still return :class:`NetLogRecord`
 objects, materialized lazily from the columns, so existing consumers
-keep working unchanged.  The legacy row-at-a-time implementation
-survives as the equivalence oracle in :mod:`repro.mesh.netlog_rows`.
+keep working unchanged.  A row-at-a-time implementation is kept
+under ``tests/`` as the equivalence oracle for every derived view.
 
 Persistence: :meth:`NetworkLog.write_csv` / :meth:`NetworkLog.read_csv`
 remain the interchange format (gzip-transparent); ``write_npz`` /

@@ -73,7 +73,7 @@ class MeshNetwork:
     ) -> None:
         self.simulator = simulator
         self.config = config
-        self.topology = config.make_topology()
+        self.topology = config.spec.build()
         # ``log`` lets runs inject a collector with different storage
         # (e.g. a spilling StreamingNetworkLog); anything with the
         # NetworkLog append surface works.

@@ -10,19 +10,29 @@ from typing import Any, Optional
 _message_ids = itertools.count()
 
 
+def as_integer(value: Any, name: str) -> int:
+    """``value`` as an ``int``, or a ``ValueError`` naming ``name``.
+
+    ``operator.index`` passes ints and numpy integers and rejects the
+    floats (NaN included) that ``int()`` would silently truncate; bools
+    are ints to it but never a node id, message id or byte count.
+    """
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return index
+
+
 def byte_length(length: Any) -> int:
     """``length`` as an ``int`` message length, or a ``ValueError``.
 
     A fractional length would be logged truncated but timed rounded
-    up, and NaN would only fail at delivery; bools are ints to
-    ``operator.index`` but never a byte count.  Numpy integers pass.
+    up, and NaN would only fail at delivery.
     """
-    try:
-        index = operator.index(length)
-    except TypeError:
-        index = None
-    if index is None or isinstance(length, bool):
-        raise ValueError(f"length_bytes must be an integer, got {length!r}")
+    index = as_integer(length, "length_bytes")
     if index < 0:
         raise ValueError(f"length_bytes must be >= 0, got {index}")
     return index

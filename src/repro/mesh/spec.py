@@ -1,11 +1,9 @@
 """First-class topology descriptions: :class:`TopologySpec` + registry.
 
-The paper simulates one 2-D wormhole mesh; the repo's consumers used to
-hard-wire that geometry as ``width``/``height`` pairs threaded through
-``MeshConfig``, ``make_topology(name, width, height)`` and three
-independently-parsed ``"WxH[:topology]"`` string grammars (CLI, sweep
-grids, serve validation).  :class:`TopologySpec` replaces all of that
-with one frozen, serializable value:
+The paper simulates one 2-D wormhole mesh.  :class:`TopologySpec`
+describes that mesh and every other network the simulator supports
+with one frozen, serializable value, the only way the CLI, sweep grids
+and serve validation name a network:
 
 * ``kind`` -- which routing discipline/graph family builds the network
   (``mesh``, ``torus``, ``hypercube``, ``chiplet``, or anything

@@ -34,8 +34,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mesh.spec import TopologySpec, register_topology
 
-Coordinate = Tuple[int, int]
-
 
 @dataclass(frozen=True)
 class Hop:
@@ -155,6 +153,7 @@ class NDMeshTopology(Topology):
         self._strides = tuple(strides)
         self.name = "torus" if any(self.wrap) else "mesh"
         self.required_vclasses = 2 if any(self.wrap) else 1
+        self._routes_yx: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -282,39 +281,8 @@ class NDMeshTopology(Topology):
             u = self._walk_axis(path, u, (dst // stride) % self.dims[axis], axis)
         return path
 
-
-class MeshTopology(NDMeshTopology):
-    """``width x height`` 2-D mesh with dimension-order (XY) routing.
-
-    Node ids are row-major: node ``i`` sits at ``(i % width, i // width)``.
-    XY routing is deadlock-free with a single virtual-channel class.
-    """
-
-    name = "mesh"
-
-    def __init__(
-        self,
-        width: int,
-        height: int,
-        *,
-        wrap: Optional[Sequence[bool]] = None,
-        link_scale: Optional[Sequence[float]] = None,
-    ) -> None:
-        if width < 1 or height < 1:
-            raise ValueError(f"mesh must be at least 1x1, got {width}x{height}")
-        super().__init__((width, height), wrap=wrap, link_scale=link_scale)
-        self._routes_yx: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
-
-    @property
-    def width(self) -> int:
-        return self.dims[0]
-
-    @property
-    def height(self) -> int:
-        return self.dims[1]
-
     def route_yx(self, src: int, dst: int) -> Tuple[Hop, ...]:
-        """Dimension-order route traversing Y before X.
+        """Dimension-order route traversing Y before X (2-D only).
 
         Used by adaptive routing as the alternative to the default XY
         order; on its own virtual-channel class it is deadlock-free by
@@ -332,30 +300,6 @@ class MeshTopology(NDMeshTopology):
         u = self._walk_axis(path, src, dst // self.dims[0], 1)
         self._walk_axis(path, u, dst % self.dims[0], 0)
         return path
-
-
-class TorusTopology(MeshTopology):
-    """``width x height`` 2-D torus: mesh plus wraparound channels.
-
-    Dimension-order routing taking the shorter way around each ring.
-    Wormhole deadlock freedom inside a ring uses the classic *dateline*
-    discipline: a worm starts each dimension on virtual-channel class 0
-    and switches to class 1 after crossing that ring's wrap channel, so
-    the channel-dependence graph is acyclic.  Hence
-    ``required_vclasses = 2``.
-    """
-
-    name = "torus"
-    required_vclasses = 2
-
-    def __init__(
-        self,
-        width: int,
-        height: int,
-        *,
-        link_scale: Optional[Sequence[float]] = None,
-    ) -> None:
-        super().__init__(width, height, wrap=(True, True), link_scale=link_scale)
 
 
 class HypercubeTopology(Topology):
@@ -514,24 +458,7 @@ class ChipletTopology(Topology):
         return up + [hub] + down
 
 
-def make_topology(name: str, width: int, height: int) -> Topology:
-    """Build a topology by name over ``width * height`` nodes.
-
-    The legacy 2-D entry point, now a thin wrapper over the
-    :mod:`repro.mesh.spec` registry: ``"mesh"`` and ``"torus"`` use the
-    2-D geometry directly; ``"hypercube"`` requires ``width * height``
-    to be a power of two.  Prefer building from a
-    :class:`~repro.mesh.spec.TopologySpec` directly.
-    """
-    return TopologySpec(kind=str(name), dims=(int(width), int(height))).build()
-
-
 def _build_cartesian(spec: TopologySpec) -> Topology:
-    if len(spec.dims) == 2:
-        if not spec.wraps:
-            return MeshTopology(spec.dims[0], spec.dims[1], link_scale=spec.link_scale)
-        if all(spec.wrap):
-            return TorusTopology(spec.dims[0], spec.dims[1], link_scale=spec.link_scale)
     return NDMeshTopology(spec.dims, wrap=spec.wrap, link_scale=spec.link_scale)
 
 

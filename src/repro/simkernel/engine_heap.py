@@ -8,8 +8,9 @@ tested against it.  Select it with ``Simulator(scheduler="heap")`` or
 ``REPRO_SCHEDULER=heap``; the engine then runs the exact PR-3 dispatch
 chain (closure -> ``_step`` -> ``_dispatch``) on top of it.
 
-It mirrors the PR-4 pattern of keeping ``netlog_rows.RowNetworkLog``
-as the row-loop oracle for the columnar ``NetworkLog``.
+It is kept in the package, unlike the row-loop oracle of the columnar
+``NetworkLog`` (which lives under ``tests/``), because it is a runtime
+choice: CI runs the whole test suite on it.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from repro.mesh.config import MeshConfig
 from repro.mesh.netlog import NetworkLog
 from repro.mesh.netlog_stream import StreamingNetworkLog
 from repro.mesh.network import MeshNetwork
-from repro.mesh.packet import NetworkMessage, byte_length
+from repro.mesh.packet import NetworkMessage, as_integer, byte_length
 from repro.simkernel.engine import Simulator, hold
 
 __all__ = [
@@ -82,10 +82,16 @@ class ScheduleTraffic:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         clean: Dict[int, Tuple[Tuple[float, int, int, int], ...]] = {}
         seen_ids: Set[int] = set()
-        for src in sorted(per_source):
+        for key in sorted(per_source):
+            src = as_integer(key, "source")
             entries = tuple(
-                (float(gap), int(dst), byte_length(length), int(msg_id))
-                for gap, dst, length, msg_id in per_source[src]
+                (
+                    float(gap),
+                    as_integer(dst, "destination"),
+                    byte_length(length),
+                    as_integer(msg_id, "msg_id"),
+                )
+                for gap, dst, length, msg_id in per_source[key]
             )
             if not entries:
                 continue
@@ -103,7 +109,7 @@ class ScheduleTraffic:
                 if msg_id in seen_ids:
                     raise ValueError(f"duplicate msg_id {msg_id}")
                 seen_ids.add(msg_id)
-            clean[int(src)] = entries
+            clean[src] = entries
         self.per_source = clean
 
     @property

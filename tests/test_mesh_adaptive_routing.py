@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.mesh import MeshConfig, MeshNetwork, MeshTopology, NetworkMessage
+from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage, TopologySpec
 from repro.simkernel import Simulator, hold
 from repro.simkernel.engine_parallel import ScheduleTraffic, canonical_order
 
@@ -18,19 +18,19 @@ def adaptive_config(**kwargs):
 
 class TestRouteYX:
     def test_yx_traverses_y_first(self):
-        topo = MeshTopology(4, 2)
+        topo = TopologySpec.parse("4x2").build()
         path = topo.route_yx(0, 7)
         assert (path[0].src, path[0].dst) == (0, 4)  # down first
         assert [(h.src, h.dst) for h in path[1:]] == [(4, 5), (5, 6), (6, 7)]
 
     def test_same_length_as_xy(self):
-        topo = MeshTopology(4, 4)
+        topo = TopologySpec.parse("4x4").build()
         for src in range(16):
             for dst in range(16):
                 assert len(topo.route_yx(src, dst)) == len(topo.route(src, dst))
 
     def test_same_endpoints(self):
-        topo = MeshTopology(4, 4)
+        topo = TopologySpec.parse("4x4").build()
         for src, dst in ((0, 15), (3, 12), (5, 10)):
             path = topo.route_yx(src, dst)
             assert path[0].src == src and path[-1].dst == dst

@@ -299,6 +299,13 @@ class TestScheduleTraffic:
             ScheduleTraffic(4, {0: [(1.0, 9, 64, 0)]})
         with pytest.raises(ValueError, match="negative gap"):
             ScheduleTraffic(4, {0: [(-1.0, 1, 64, 0)]})
+        # Fractional ids used to run truncated: this ran as {1: [(1.0, 2, 64, 0)]}.
+        with pytest.raises(ValueError, match="source must be an integer, got 1.5"):
+            ScheduleTraffic(4, {1.5: [(1.0, 2.7, 64, 0.9)]})
+        with pytest.raises(ValueError, match="destination must be an integer, got 2.7"):
+            ScheduleTraffic(4, {1: [(1.0, 2.7, 64, 0)]})
+        with pytest.raises(ValueError, match="msg_id must be an integer, got 0.9"):
+            ScheduleTraffic(4, {1: [(1.0, 2, 64, 0.9)]})
 
     # NetworkMessage's length rule, applied when the schedule is built:
     # 64.5 used to run as 64 B, and -5 failed only inside the event loop.

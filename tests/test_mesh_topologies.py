@@ -7,33 +7,31 @@ from repro.mesh import (
     HypercubeTopology,
     MeshConfig,
     MeshNetwork,
-    MeshTopology,
     NetworkMessage,
-    TorusTopology,
-    make_topology,
+    TopologySpec,
 )
 from repro.simkernel import Simulator
 
 
 class TestTorusTopology:
     def test_neighbors_wraparound(self):
-        torus = TorusTopology(4, 4)
+        torus = TopologySpec.parse("4x4:torus").build()
         assert sorted(torus.neighbors(0)) == [1, 3, 4, 12]
 
     def test_hops_take_shorter_direction(self):
-        torus = TorusTopology(4, 4)
+        torus = TopologySpec.parse("4x4:torus").build()
         # 0 -> 3: one wrap hop west instead of 3 east.
         assert torus.hops(0, 3) == 1
         assert torus.hops(0, 15) == 2  # wrap both dimensions
 
     def test_route_length_matches_hops(self):
-        torus = TorusTopology(4, 3)
+        torus = TopologySpec.parse("4x3:torus").build()
         for src in range(torus.num_nodes):
             for dst in range(torus.num_nodes):
                 assert len(torus.route(src, dst)) == torus.hops(src, dst)
 
     def test_route_is_connected(self):
-        torus = TorusTopology(5, 4)
+        torus = TopologySpec.parse("5x4:torus").build()
         for src in (0, 7, 13):
             for dst in range(torus.num_nodes):
                 node = src
@@ -44,7 +42,7 @@ class TestTorusTopology:
                 assert node == dst
 
     def test_wrap_hop_switches_vclass(self):
-        torus = TorusTopology(4, 1)
+        torus = TopologySpec.parse("4x1:torus").build()
         # 0 -> 3 goes west through the wrap channel (0, 3).
         route = torus.route(1, 3)
         # 1 -> 0 (class 0), 0 -> 3 wrap (class 0), after which nothing.
@@ -54,7 +52,7 @@ class TestTorusTopology:
         assert all(h.vclass == 0 for h in route_east)
 
     def test_dateline_classes_after_wrap(self):
-        torus = TorusTopology(5, 1)
+        torus = TopologySpec.parse("5x1:torus").build()
         # 4 -> 1 shortest is east through the wrap: 4->0 (wrap), 0->1.
         route = torus.route(4, 1)
         assert [(h.src, h.dst) for h in route] == [(4, 0), (0, 1)]
@@ -62,8 +60,8 @@ class TestTorusTopology:
         assert route[1].vclass == 1          # after the dateline
 
     def test_average_distance_below_mesh(self):
-        mesh = MeshTopology(4, 4)
-        torus = TorusTopology(4, 4)
+        mesh = TopologySpec.parse("4x4").build()
+        torus = TopologySpec.parse("4x4:torus").build()
         assert torus.average_distance() < mesh.average_distance()
 
     def test_requires_two_vclasses(self):
@@ -81,6 +79,8 @@ class TestHypercubeTopology:
     def test_for_nodes_rejects_non_power(self):
         with pytest.raises(ValueError):
             HypercubeTopology.for_nodes(6)
+        with pytest.raises(ValueError):
+            MeshConfig(spec="3x2:hypercube")
 
     def test_neighbors_are_bit_flips(self):
         cube = HypercubeTopology(3)
@@ -109,28 +109,13 @@ class TestHypercubeTopology:
         assert cube.average_distance() == pytest.approx(expected)
 
 
-class TestMakeTopology:
-    def test_by_name(self):
-        assert make_topology("mesh", 4, 2).name == "mesh"
-        assert make_topology("torus", 4, 2).name == "torus"
-        assert make_topology("hypercube", 4, 2).name == "hypercube"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_topology("ring", 4, 2)
-
-    def test_hypercube_node_count_enforced(self):
-        with pytest.raises(ValueError):
-            MeshConfig(spec="3x2:hypercube")
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     name=st.sampled_from(["mesh", "torus", "hypercube"]),
     data=st.data(),
 )
 def test_route_property_connected_and_minimal(name, data):
-    topo = make_topology(name, 4, 2)
+    topo = TopologySpec(kind=name, dims=(4, 2)).build()
     src = data.draw(st.integers(0, topo.num_nodes - 1))
     dst = data.draw(st.integers(0, topo.num_nodes - 1))
     route = topo.route(src, dst)

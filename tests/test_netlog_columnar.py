@@ -1,7 +1,7 @@
 """Columnar NetworkLog equivalence, persistence, and validation tests.
 
 The columnar log must be *bit-identical* to the legacy row-backed
-implementation (kept as the oracle in :mod:`repro.mesh.netlog_rows`)
+implementation (kept as the oracle in ``tests/netlog_rows.py``)
 on every derived view -- the hypothesis property below drives both
 with randomized logs, and explicit cases cover empty, single-record,
 and single-source logs.  Persistence tests assert CSV <-> npz round
@@ -21,7 +21,7 @@ from repro.mesh.netlog import (
     NetLogRecord,
     NetworkLog,
 )
-from repro.mesh.netlog_rows import RowNetworkLog
+from tests.netlog_rows import RowNetworkLog
 
 NUM_NODES = 8
 KINDS = ("p2p", "coherence", "reply")

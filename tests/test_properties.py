@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.coherence import BlockMap, Cache, CacheState
-from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage, make_topology
+from repro.mesh import MeshConfig, MeshNetwork, NetworkMessage
 from repro.simkernel import Facility, Simulator, hold, release, request
 from repro.stats import (
     Exponential,
